@@ -336,12 +336,8 @@ def run_validation(
         observations, predicted_result, bin_edges
     )
 
-    predicted_read_percentiles = [
-        predicted_result.read_latency_percentile(p) for p in latency_percentiles
-    ]
-    predicted_write_percentiles = [
-        predicted_result.write_latency_percentile(p) for p in latency_percentiles
-    ]
+    predicted_read_percentiles = predicted_result.read_latency_percentiles(latency_percentiles)
+    predicted_write_percentiles = predicted_result.write_latency_percentiles(latency_percentiles)
     measured_read_percentiles = list(np.percentile(measured_reads, list(latency_percentiles)))
     measured_write_percentiles = list(
         np.percentile(measured_writes, list(latency_percentiles))

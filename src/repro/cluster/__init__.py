@@ -11,7 +11,7 @@ injection) support the ablation experiments.
 from repro.cluster.antientropy import AntiEntropyStats, MerkleAntiEntropy
 from repro.cluster.client import ClientSession, SessionStats, WorkloadRunner
 from repro.cluster.coordinator import Coordinator, ReadHandle, WriteHandle
-from repro.cluster.events import CalendarQueue, Event, EventQueue
+from repro.cluster.events import Event, EventQueue
 from repro.cluster.failures import FailureEvent, FailureInjector
 from repro.cluster.membership import Membership
 from repro.cluster.merkle import MerkleTree
@@ -49,7 +49,6 @@ __all__ = [
     "Coordinator",
     "ReadHandle",
     "WriteHandle",
-    "CalendarQueue",
     "Event",
     "EventQueue",
     "FailureEvent",

@@ -10,6 +10,7 @@ generated workload (see :mod:`repro.workloads`) onto the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from repro.cluster.coordinator import ReadHandle, WriteHandle
@@ -112,11 +113,12 @@ class WorkloadRunner:
     def schedule(self, operations: Iterable[Operation]) -> int:
         """Schedule every operation at its start time; returns the count scheduled."""
         count = 0
+        now = self.cluster.now_ms  # scheduling runs no events, so the clock stays put
         for operation in operations:
-            if operation.start_ms < self.cluster.now_ms:
+            if operation.start_ms < now:
                 raise WorkloadError(
                     f"operation at {operation.start_ms} ms is in the simulator's past "
-                    f"(now = {self.cluster.now_ms} ms)"
+                    f"(now = {now} ms)"
                 )
             if operation.kind is OperationKind.WRITE:
                 self.cluster.schedule_write(operation.key, operation.value, operation.start_ms)
@@ -158,7 +160,7 @@ class WorkloadRunner:
         acknowledgements and late read responses (which the staleness detector
         needs) are delivered.
         """
-        operations = sorted(operations, key=lambda operation: operation.start_ms)
+        operations = sorted(operations, key=attrgetter("start_ms"))
         if not operations:
             return
         self._feed(operations, 0)

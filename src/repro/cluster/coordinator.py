@@ -161,10 +161,17 @@ class Coordinator:
         self._clock = simulator.clock
         # Message sends bypass Simulator.schedule: delays come from validated
         # latency distributions (non-negative by construction), so the hot
-        # path pushes pre-bound calls straight onto the event queue.
-        self._push_call = simulator.queue.push_call
+        # path pushes one pre-bound heap entry per message straight onto the
+        # event queue, and draws each delay from the network's per-replica
+        # source for the leg.
+        self._push = simulator.queue.push_entry
+        self._next_sequence = simulator.queue.next_sequence
         self._membership = membership
         self._network = network
+        self._write_draws = network.write_draws
+        self._ack_draws = network.ack_draws
+        self._read_draws = network.read_draws
+        self._response_draws = network.response_draws
         self._config = config
         self._r = config.r
         self._w = config.w
@@ -178,9 +185,7 @@ class Coordinator:
         self._note_write_commit = trace_log.note_write_commit
         self._note_write_drop = trace_log.note_write_drop
         self._begin_read = trace_log.begin_read
-        self._note_read_response = trace_log.note_read_response
-        self._note_read_quorum = trace_log.note_read_quorum
-        self._note_read_late = trace_log.note_read_late
+        self._note_read_reply = trace_log.note_read_reply
         self._note_read_complete = trace_log.note_read_complete
         self._note_read_timeout = trace_log.note_read_timeout
         self._note_read_repair = trace_log.note_read_repair
@@ -257,21 +262,17 @@ class Coordinator:
             # when loss or partitions are actually configured (delivery state
             # can only change between events, never inside this send loop).
             network = self._network
-            push_call = self._push_call
+            push = self._push
+            sequence = self._next_sequence
+            draws = self._write_draws
             deliver = self._deliver_write
             lossy = network.may_drop
             for replica in replicas:
-                if lossy and not network.delivers(
-                    self.coordinator_id, replica.node_id
-                ):
-                    self._note_write_drop(ref, replica.node_id)
+                node_id = replica.node_id
+                if lossy and not network.delivers(self.coordinator_id, node_id):
+                    self._note_write_drop(ref, node_id)
                     continue
-                push_call(
-                    now + network.write_delay(replica.node_id),
-                    deliver,
-                    replica,
-                    handle,
-                )
+                push((now + draws[node_id](), sequence(), deliver, replica, handle))
 
         handle._timeout_event = self._simulator.schedule(
             self._timeout_ms,
@@ -281,52 +282,43 @@ class Coordinator:
         return handle
 
     def _send_write(self, replica: StorageNode, handle: WriteHandle) -> None:
-        """Send the write message for one replica (the W leg)."""
+        """Send the write message for one replica (the W leg), with an event label."""
         if not self._network.delivers(self.coordinator_id, replica.node_id):
             self._note_write_drop(handle.ref, replica.node_id)
             return
         delay = self._network.write_delay(replica.node_id)
-        if self._event_labels:
-            self._simulator.schedule(
-                delay,
-                lambda: self._deliver_write(replica, handle),
-                label=f"write-deliver:{handle.trace.operation_id}:{replica.node_id}",
-            )
-        else:
-            self._push_call(
-                self._clock.now_ms + delay, self._deliver_write, replica, handle
-            )
+        self._simulator.schedule(
+            delay,
+            lambda: self._deliver_write(replica, handle),
+            label=f"write-deliver:{handle.trace.operation_id}:{replica.node_id}",
+        )
 
     def _deliver_write(self, replica: StorageNode, handle: WriteHandle) -> None:
         """The write message arrives at a replica; apply it and send the ack (A leg)."""
         now = self._clock.now_ms
+        node_id = replica.node_id
         if not replica.alive:
-            self._note_write_drop(handle.ref, replica.node_id)
+            self._note_write_drop(handle.ref, node_id)
             if self._hinted_handoff:
-                self._store_hint(replica.node_id, handle.payload)
+                self._store_hint(node_id, handle.payload)
             if self._sloppy_quorum:
                 self._redirect_to_fallback(replica, handle)
             return
         replica.apply_write(handle.payload, now)
-        self._note_write_arrival(handle.ref, replica.node_id, now)
+        self._note_write_arrival(handle.ref, node_id, now)
         network = self._network
-        if network.may_drop and not network.delivers(
-            replica.node_id, self.coordinator_id
-        ):
+        if network.may_drop and not network.delivers(node_id, self.coordinator_id):
             return
-        ack_delay = network.ack_delay(replica.node_id)
+        ack_delay = self._ack_draws[node_id]()
         if self._event_labels:
             self._simulator.schedule(
                 ack_delay,
-                lambda: self._receive_ack(replica.node_id, handle),
-                label=f"write-ack:{handle.trace.operation_id}:{replica.node_id}",
+                lambda: self._receive_ack(node_id, handle),
+                label=f"write-ack:{handle.trace.operation_id}:{node_id}",
             )
         else:
-            self._push_call(
-                self._clock.now_ms + ack_delay,
-                self._receive_ack,
-                replica.node_id,
-                handle,
+            self._push(
+                (now + ack_delay, self._next_sequence(), self._receive_ack, node_id, handle)
             )
 
     def _receive_ack(self, replica_id: str, handle: WriteHandle) -> None:
@@ -347,6 +339,9 @@ class Coordinator:
 
     def _write_timeout(self, handle: WriteHandle) -> None:
         """Fail the write if the quorum never assembled within the timeout."""
+        # The fired event's action closes over the handle: drop the handle's
+        # reference to the event so the two do not form a reference cycle.
+        handle._timeout_event = None
         if handle.finished:
             return
         handle.finished = True
@@ -382,7 +377,7 @@ class Coordinator:
         handle.used_fallbacks.add(fallback.node_id)
         if not self._network.delivers(self.coordinator_id, fallback.node_id):
             return
-        delay = self._network.write_delay(fallback.node_id)
+        delay = self._write_draws[fallback.node_id]()
         if self._event_labels:
             self._simulator.schedule(
                 delay,
@@ -390,12 +385,15 @@ class Coordinator:
                 label=f"sloppy-write:{handle.trace.operation_id}:{fallback.node_id}",
             )
         else:
-            self._push_call(
-                self._clock.now_ms + delay,
-                self._deliver_sloppy_write,
-                fallback,
-                failed_replica,
-                handle,
+            self._push(
+                (
+                    self._clock.now_ms + delay,
+                    self._next_sequence(),
+                    self._deliver_sloppy_write,
+                    fallback,
+                    failed_replica,
+                    handle,
+                )
             )
 
     def _deliver_sloppy_write(
@@ -413,7 +411,7 @@ class Coordinator:
             self._store_hint(intended.node_id, handle.payload)
         if not self._network.delivers(fallback.node_id, self.coordinator_id):
             return
-        ack_delay = self._network.ack_delay(fallback.node_id)
+        ack_delay = self._ack_draws[fallback.node_id]()
         if self._event_labels:
             self._simulator.schedule(
                 ack_delay,
@@ -421,11 +419,14 @@ class Coordinator:
                 label=f"sloppy-ack:{handle.trace.operation_id}:{fallback.node_id}",
             )
         else:
-            self._push_call(
-                self._clock.now_ms + ack_delay,
-                self._receive_ack,
-                fallback.node_id,
-                handle,
+            self._push(
+                (
+                    now + ack_delay,
+                    self._next_sequence(),
+                    self._receive_ack,
+                    fallback.node_id,
+                    handle,
+                )
             )
 
     # ------------------------------------------------------------------
@@ -486,22 +487,17 @@ class Coordinator:
         else:
             # Inlined _send_read (see write() above for the rationale).
             network = self._network
-            push_call = self._push_call
+            push = self._push
+            sequence = self._next_sequence
+            draws = self._read_draws
             deliver = self._deliver_read
             lossy = network.may_drop
             for replica in replicas:
-                if lossy and not network.delivers(
-                    self.coordinator_id, replica.node_id
-                ):
+                node_id = replica.node_id
+                if lossy and not network.delivers(self.coordinator_id, node_id):
                     handle.expected_responses -= 1
                     continue
-                push_call(
-                    now + network.read_delay(replica.node_id),
-                    deliver,
-                    replica,
-                    key,
-                    handle,
-                )
+                push((now + draws[node_id](), sequence(), deliver, replica, key, handle))
 
         handle._timeout_event = self._simulator.schedule(
             self._timeout_ms,
@@ -511,21 +507,16 @@ class Coordinator:
         return handle
 
     def _send_read(self, replica: StorageNode, key: str, handle: ReadHandle) -> None:
-        """Send the read request for one replica (the R leg)."""
+        """Send the read request for one replica (the R leg), with an event label."""
         if not self._network.delivers(self.coordinator_id, replica.node_id):
             handle.expected_responses -= 1
             return
         delay = self._network.read_delay(replica.node_id)
-        if self._event_labels:
-            self._simulator.schedule(
-                delay,
-                lambda: self._deliver_read(replica, key, handle),
-                label=f"read-deliver:{handle.trace.operation_id}:{replica.node_id}",
-            )
-        else:
-            self._push_call(
-                self._clock.now_ms + delay, self._deliver_read, replica, key, handle
-            )
+        self._simulator.schedule(
+            delay,
+            lambda: self._deliver_read(replica, key, handle),
+            label=f"read-deliver:{handle.trace.operation_id}:{replica.node_id}",
+        )
 
     def _deliver_read(self, replica: StorageNode, key: str, handle: ReadHandle) -> None:
         """The read request arrives at a replica; send back its current version (S leg)."""
@@ -534,29 +525,33 @@ class Coordinator:
             if self._read_repair:
                 self._maybe_run_read_repair(handle)
             return
-        payload = replica.read(key)
+        # StorageNode.read inlined: liveness was checked above.
+        replica.served_reads += 1
+        payload = replica._data.get(key)
+        node_id = replica.node_id
         network = self._network
-        if network.may_drop and not network.delivers(
-            replica.node_id, self.coordinator_id
-        ):
+        if network.may_drop and not network.delivers(node_id, self.coordinator_id):
             handle.expected_responses -= 1
             if self._read_repair:
                 self._maybe_run_read_repair(handle)
             return
-        delay = network.response_delay(replica.node_id)
+        delay = self._response_draws[node_id]()
         if self._event_labels:
             self._simulator.schedule(
                 delay,
-                lambda: self._receive_response(replica.node_id, payload, handle),
-                label=f"read-response:{handle.trace.operation_id}:{replica.node_id}",
+                lambda: self._receive_response(node_id, payload, handle),
+                label=f"read-response:{handle.trace.operation_id}:{node_id}",
             )
         else:
-            self._push_call(
-                self._clock.now_ms + delay,
-                self._receive_response,
-                replica.node_id,
-                payload,
-                handle,
+            self._push(
+                (
+                    self._clock.now_ms + delay,
+                    self._next_sequence(),
+                    self._receive_response,
+                    node_id,
+                    payload,
+                    handle,
+                )
             )
 
     def _receive_response(
@@ -567,7 +562,6 @@ class Coordinator:
     ) -> None:
         """A replica's response reaches the coordinator."""
         now = self._clock.now_ms
-        self._note_read_response(handle.ref, replica_id, now)
         handle.responses[replica_id] = payload
         version = payload.version if payload is not None else None
 
@@ -575,13 +569,13 @@ class Coordinator:
             handle.quorum_count += 1
             if payload is not None:
                 newest = handle._newest
-                if newest is None or payload.version > newest.version:
+                if newest is None or version > newest.version:
                     handle._newest = payload
-            self._note_read_quorum(handle.ref, replica_id, version)
+            self._note_read_reply(handle.ref, replica_id, now, version, True)
             if handle.quorum_count >= self._r:
                 self._complete_read(handle)
         else:
-            self._note_read_late(handle.ref, replica_id, version)
+            self._note_read_reply(handle.ref, replica_id, now, version, False)
 
         if self._read_repair:
             self._maybe_run_read_repair(handle)
@@ -602,6 +596,8 @@ class Coordinator:
 
     def _read_timeout(self, handle: ReadHandle) -> None:
         """Fail the read if fewer than R responses arrived within the timeout."""
+        # See _write_timeout: the fired event must not keep the handle alive.
+        handle._timeout_event = None
         if handle.finished:
             return
         handle.finished = True

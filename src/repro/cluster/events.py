@@ -5,25 +5,27 @@ number so simulation runs are fully deterministic for a fixed seed.
 
 This module is the innermost loop of the cluster substrate: a §5.2
 paper-scale validation run pushes and pops millions of events, so the
-representation is deliberately lean.  The heap holds ``(time_ms, sequence,
-event)`` tuples — tuple comparison happens entirely in C, so no Python
-``__lt__`` runs during sifts — and :class:`Event` is a ``__slots__`` class
-carrying only the fields the simulator needs.  Cancellation is O(1): the
-event flips a flag and tells its queue, which maintains exact live/cancelled
-counters (making ``len(queue)`` O(1)) and compacts the heap when cancelled
-entries dominate, keeping memory bounded on timeout-heavy workloads where
-every operation schedules a timeout it almost always cancels.
+representation is deliberately lean.  The heap holds flat tuples —
+``(time_ms, sequence, event)`` for cancellable :class:`Event` objects and
+``(time_ms, sequence, method, arg1, ...)`` for everything else — so tuple
+comparison happens entirely in C and no Python ``__lt__`` runs during sifts.
+Cancellation is O(1): the event flips a flag and tells its queue, which keeps
+an exact count of the cancelled entries still buried in the heap (making
+``len(queue)`` O(1)) and compacts the heap when they dominate, keeping memory
+bounded on timeout-heavy workloads where every operation schedules a timeout
+it almost always cancels.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+import itertools
+from functools import partial
 from typing import Callable
 
 from repro.exceptions import SimulationError
 
-__all__ = ["Event", "EventQueue", "CalendarQueue"]
+__all__ = ["Event", "EventQueue"]
 
 #: Compact the heap once at least this many cancelled events are buried in it
 #: (and they outnumber the live ones).  Chosen large enough that small runs
@@ -32,7 +34,7 @@ COMPACTION_MIN_CANCELLED = 1024
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled, cancellable callback.
 
     Attributes
     ----------
@@ -41,7 +43,8 @@ class Event:
     sequence:
         Monotonic tie-breaker assigned by the queue.
     action:
-        Zero-argument callable invoked when the event fires.
+        Zero-argument callable invoked when the event fires; ``None`` once
+        the event is cancelled.
     label:
         Optional human-readable tag used in error messages and traces.  Hot
         paths leave it empty (see ``event_labels`` on the cluster) so untraced
@@ -68,10 +71,18 @@ class Event:
         self._queue = queue
 
     def cancel(self) -> None:
-        """Mark this event so the simulator skips it (O(1), exact accounting)."""
+        """Mark this event so the simulator skips it (O(1), exact accounting).
+
+        The action is dropped: a cancellable event must not keep its owner
+        alive.  An operation timeout's action closes over the operation's
+        handle, which holds the event to cancel it, so keeping the action
+        would leave one reference cycle per finished operation that only the
+        cyclic garbage collector could free.
+        """
         if self.cancelled:
             return
         self.cancelled = True
+        self.action = None
         queue = self._queue
         if queue is not None:
             self._queue = None
@@ -89,20 +100,31 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic min-heap of :class:`Event` objects.
+    """A deterministic min-heap of scheduled callbacks.
 
-    The live-event count is maintained incrementally on push/pop/cancel, so
-    ``len(queue)`` is O(1) instead of a scan.  Cancelled events stay in the
-    heap until popped or until a compaction pass rebuilds the heap without
-    them (triggered when they both exceed :data:`COMPACTION_MIN_CANCELLED`
-    and outnumber live events — a deterministic rule, so runs stay
-    reproducible).
+    Two ways in:
+
+    * :meth:`push` schedules a cancellable :class:`Event`;
+    * ``push_entry((time_ms, next_sequence(), method, arg1, ...))`` schedules
+      an uncancellable pre-bound call with at most three arguments.  Both
+      attributes are C-level callables (a bound ``heappush`` and a counter),
+      so a message send costs one heap push and no Python frame.  Callers
+      compute ``time_ms`` themselves and must keep it non-negative and no
+      earlier than the clock.
+
+    ``len(queue)`` is the heap size minus the cancelled events still buried
+    in it, both O(1).  Cancelled events stay in the heap until popped or
+    until a compaction pass rebuilds the heap without them (triggered when
+    they both reach :data:`COMPACTION_MIN_CANCELLED` and outnumber live
+    events — a deterministic rule, so runs stay reproducible).
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-        self._sequence = 0
-        self._live = 0
+        self._heap: list[tuple] = []
+        #: Next tie-breaking sequence number (call it once per heap entry).
+        self.next_sequence: Callable[[], int] = itertools.count().__next__
+        #: Push one raw ``(time_ms, sequence, method, *args)`` heap entry.
+        self.push_entry: Callable[[tuple], None] = partial(heapq.heappush, self._heap)
         self._cancelled_pending = 0
         #: Processed-event count as of the end of the last :meth:`drain` call,
         #: maintained even when an event action raises — the simulator reads
@@ -112,59 +134,34 @@ class EventQueue:
 
     def __len__(self) -> int:
         """Number of pending (non-cancelled) events — O(1)."""
-        return self._live
+        return len(self._heap) - self._cancelled_pending
 
     def push(self, time_ms: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` at absolute simulated time ``time_ms``.
 
         Returns the :class:`Event`, which supports :meth:`Event.cancel`.  Hot
-        paths that never cancel should prefer :meth:`push_action`, which
-        skips the Event allocation entirely.
+        paths that never cancel should use :attr:`push_entry`, which skips
+        the Event allocation entirely.
         """
         if time_ms < 0:
             raise SimulationError(f"cannot schedule an event at negative time {time_ms}")
         time_ms = float(time_ms)
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        event = Event(time_ms, sequence, action, label, self)
-        heapq.heappush(self._heap, (time_ms, sequence, event))
-        self._live += 1
+        event = Event(time_ms, self.next_sequence(), action, label, self)
+        heapq.heappush(self._heap, (time_ms, event.sequence, event))
         return event
 
     def push_action(self, time_ms: float, action: Callable[[], None]) -> None:
-        """Schedule an *uncancellable* ``action`` — no :class:`Event` is allocated.
-
-        The heap entry stores the bare callable; events that never need
-        cancellation skip the per-event object entirely.
-        """
+        """Schedule an *uncancellable* ``action`` — no :class:`Event` is allocated."""
         if time_ms < 0:
             raise SimulationError(f"cannot schedule an event at negative time {time_ms}")
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        heapq.heappush(self._heap, (float(time_ms), sequence, action))
-        self._live += 1
-
-    def push_call(self, time_ms: float, *call: object) -> None:
-        """Schedule an *uncancellable* pre-bound call ``method(*args)``.
-
-        ``call`` is ``(method, arg1, ..., argN)`` with N <= 3.  The heap entry
-        is the flat tuple ``(time_ms, sequence, method, arg1, ...)`` — no
-        closure is created at schedule time and no Python frame is spent
-        unwrapping one at dispatch time, which is what makes this the
-        message-delivery fast path (millions of sends per paper-scale run).
-        """
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        heapq.heappush(self._heap, (time_ms, sequence) + call)
-        self._live += 1
+        self.push_entry((float(time_ms), self.next_sequence(), action))
 
     def pop(self) -> Event | None:
         """Remove and return the earliest non-cancelled event, or ``None`` if empty.
 
-        Entries scheduled via :meth:`push_action`/:meth:`push_call` are
-        wrapped in a detached :class:`Event` so the return type stays uniform
-        (the simulator's run loop uses the raw-entry API below and never pays
-        for this).
+        Raw entries (see :attr:`push_entry`) are wrapped in a detached
+        :class:`Event` so the return type stays uniform (the simulator's run
+        loop dispatches raw entries and never pays for this).
         """
         entry = self._pop_raw(float("inf"))
         if entry is None:
@@ -179,31 +176,24 @@ class EventQueue:
     def _pop_raw(self, until_ms: float) -> "tuple | None":
         """Fused peek+pop of the earliest live heap entry with ``time <= until_ms``.
 
-        Returns the raw heap tuple (see :meth:`push_call` for the layout) so
-        the simulator's run loop can dispatch without intermediate
-        allocations; cancelled events are skipped and accounted.
+        Returns the raw heap tuple so callers can dispatch without
+        intermediate allocations; cancelled events are skipped and accounted.
         """
         heap = self._heap
         while heap:
             entry = heap[0]
             item = entry[2]
-            if item.__class__ is Event:
-                if item.cancelled:
-                    heapq.heappop(heap)
-                    self._cancelled_pending -= 1
-                    continue
-                if entry[0] > until_ms:
-                    return None
+            if item.__class__ is Event and item.cancelled:
                 heapq.heappop(heap)
-                # Detach so a late cancel() (e.g. of an already-fired
-                # timeout) cannot corrupt the live count.
-                item._queue = None
-                self._live -= 1
-                return entry
+                self._cancelled_pending -= 1
+                continue
             if entry[0] > until_ms:
                 return None
             heapq.heappop(heap)
-            self._live -= 1
+            if item.__class__ is Event:
+                # Detach so a late cancel() (e.g. of an already-fired
+                # timeout) cannot corrupt the live count.
+                item._queue = None
             return entry
         return None
 
@@ -220,12 +210,13 @@ class EventQueue:
     def clear(self) -> None:
         """Drop every pending event."""
         # Detach surviving events so cancelling one later cannot decrement
-        # the counters of a queue it no longer belongs to.
-        for _, _, item in self._heap:
+        # the counters of a queue it no longer belongs to.  Raw entries carry
+        # one to three call arguments after the time and sequence.
+        for entry in self._heap:
+            item = entry[2]
             if item.__class__ is Event:
                 item._queue = None
         self._heap.clear()
-        self._live = 0
         self._cancelled_pending = 0
 
     # ------------------------------------------------------------------
@@ -233,11 +224,10 @@ class EventQueue:
     # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
         """Called by :meth:`Event.cancel` exactly once per pending event."""
-        self._live -= 1
         self._cancelled_pending += 1
         if (
             self._cancelled_pending >= COMPACTION_MIN_CANCELLED
-            and self._cancelled_pending > self._live
+            and self._cancelled_pending > len(self)
         ):
             self._compact()
 
@@ -245,8 +235,9 @@ class EventQueue:
         """Rebuild the heap without cancelled entries (preserves ordering).
 
         Mutates the heap list *in place* (slice assignment) because
-        :meth:`drain` holds a local reference to it while events — whose
-        actions may cancel other events and trigger compaction — are running.
+        :meth:`drain` and :attr:`push_entry` hold references to it while
+        events — whose actions may cancel other events and trigger
+        compaction — are running.
         """
         self._heap[:] = [
             entry
@@ -283,22 +274,18 @@ class EventQueue:
         try:
             while heap:
                 entry = heap[0]
-                item = entry[2]
-                if item.__class__ is Event:
-                    if item.cancelled:
-                        pop(heap)
-                        self._cancelled_pending -= 1
-                        continue
-                    if entry[0] > horizon:
-                        break
-                    pop(heap)
-                    item._queue = None
-                else:
-                    if entry[0] > horizon:
-                        break
-                    pop(heap)
-                self._live -= 1
                 time_ms = entry[0]
+                if time_ms > horizon:
+                    break
+                pop(heap)
+                length = len(entry)
+                if length == 3:
+                    item = entry[2]
+                    if item.__class__ is Event:
+                        if item.cancelled:
+                            self._cancelled_pending -= 1
+                            continue
+                        item._queue = None
                 if time_ms != now:
                     if time_ms < now:
                         raise SimulationError(
@@ -313,7 +300,6 @@ class EventQueue:
                         f"simulation exceeded {max_events} events; "
                         "possible event storm"
                     )
-                length = len(entry)
                 if length == 5:
                     entry[2](entry[3], entry[4])
                 elif length == 6:
@@ -324,298 +310,6 @@ class EventQueue:
                     item.action()
                 else:
                     item()
-        finally:
-            self.last_drain_processed = processed
-        return processed
-
-
-#: Calendar-queue sizing bounds: never fewer than 8 buckets (tiny queues run
-#: fine in one bucket anyway) and never more than 2^20 (one million buckets is
-#: already far past any realistic pending-event count here).
-CALENDAR_MIN_BUCKETS = 8
-CALENDAR_MAX_BUCKETS = 1 << 20
-
-
-class CalendarQueue:
-    """A calendar (bucket) queue with the exact ordering contract of :class:`EventQueue`.
-
-    Pending entries live in ``nbuckets`` sorted buckets; an entry at time ``t``
-    is filed under bucket ``int(t / width) % nbuckets``, i.e. the calendar has
-    "days" of ``width`` ms and wraps every ``nbuckets * width`` ms (one
-    "year").  Push and pop are amortised O(1): a push is an insort into a
-    bucket holding O(1) entries on average, and a pop scans at most one year
-    of bucket heads starting from the bucket of the last popped time.
-
-    The scan is exact, not heuristic: within the current year, each bucket is
-    only eligible for its own day window — two entries in the same bucket
-    whose times differ land a full year apart, so the first in-window head
-    found walking forward is the global minimum.  If a whole year is empty the
-    queue falls back to a direct min over bucket heads and jumps the cursor
-    there (this is what keeps sparse queues O(nbuckets) per pop instead of
-    unbounded).
-
-    Ordering is pinned to the heap engine's tie-break semantics: entries are
-    the same ``(time_ms, sequence, ...)`` tuples, equal times always map to
-    the same bucket, and insort keeps each bucket sorted by that tuple — so
-    the pop order is bit-for-bit the heap's pop order, and a cluster run on
-    this queue reproduces the heap engine's traces exactly.
-
-    The bucket count doubles when entries exceed two per bucket and halves
-    when they fall under a quarter per bucket; on every rebuild the bucket
-    width is refit to twice the median gap between distinct pending times.
-    Both rules are deterministic functions of the pending set, so runs stay
-    reproducible.
-    """
-
-    def __init__(self, width_ms: float = 1.0) -> None:
-        if width_ms <= 0:
-            raise SimulationError(f"calendar bucket width must be positive, got {width_ms}")
-        self._width = float(width_ms)
-        self._nbuckets = CALENDAR_MIN_BUCKETS
-        self._buckets: list[list[tuple]] = [[] for _ in range(self._nbuckets)]
-        self._sequence = 0
-        self._count = 0  # entries filed in buckets, including cancelled ones
-        self._live = 0
-        self._cancelled_pending = 0
-        self._cursor = 0  # bucket serial (absolute day number) of the last pop
-        #: See :attr:`EventQueue.last_drain_processed`.
-        self.last_drain_processed = 0
-
-    def __len__(self) -> int:
-        """Number of pending (non-cancelled) events — O(1)."""
-        return self._live
-
-    # ------------------------------------------------------------------
-    # Filing.
-    # ------------------------------------------------------------------
-    def _insert(self, entry: tuple) -> None:
-        serial = int(entry[0] / self._width)
-        insort(self._buckets[serial % self._nbuckets], entry)
-        if serial < self._cursor:
-            # A push earlier than the last pop (the heap would let the drain
-            # loop discover it and raise); keep min-order exact regardless.
-            self._cursor = serial
-        self._count += 1
-        self._live += 1
-        if self._count > (self._nbuckets << 1) and self._nbuckets < CALENDAR_MAX_BUCKETS:
-            self._rebuild(self._nbuckets << 1)
-
-    def push(self, time_ms: float, action: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``action`` at ``time_ms``; returns a cancellable :class:`Event`."""
-        if time_ms < 0:
-            raise SimulationError(f"cannot schedule an event at negative time {time_ms}")
-        time_ms = float(time_ms)
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        event = Event(time_ms, sequence, action, label, self)
-        self._insert((time_ms, sequence, event))
-        return event
-
-    def push_action(self, time_ms: float, action: Callable[[], None]) -> None:
-        """Schedule an *uncancellable* ``action`` — no :class:`Event` is allocated."""
-        if time_ms < 0:
-            raise SimulationError(f"cannot schedule an event at negative time {time_ms}")
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        self._insert((float(time_ms), sequence, action))
-
-    def push_call(self, time_ms: float, *call: object) -> None:
-        """Schedule an *uncancellable* pre-bound call ``method(*args)`` (N <= 3 args)."""
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        self._insert((time_ms, sequence) + call)
-
-    # ------------------------------------------------------------------
-    # Locating the minimum.
-    # ------------------------------------------------------------------
-    def _purge_head(self, bucket: list[tuple]) -> None:
-        while bucket:
-            item = bucket[0][2]
-            if item.__class__ is Event and item.cancelled:
-                del bucket[0]
-                self._count -= 1
-                self._cancelled_pending -= 1
-            else:
-                break
-
-    def _locate(self) -> "list[tuple] | None":
-        """The bucket whose head is the earliest live entry, or ``None`` if empty.
-
-        Advances :attr:`_cursor` to that entry's day, so successive pops keep
-        walking forward.
-        """
-        if self._count:
-            width = self._width
-            nbuckets = self._nbuckets
-            buckets = self._buckets
-            serial = self._cursor
-            top = (serial + 1) * width
-            for _ in range(nbuckets):
-                bucket = buckets[serial % nbuckets]
-                self._purge_head(bucket)
-                if bucket and bucket[0][0] < top:
-                    self._cursor = serial
-                    return bucket
-                serial += 1
-                top = (serial + 1) * width
-        if not self._count:
-            return None
-        # The whole current year is empty: jump straight to the earliest head.
-        best = None
-        best_time = 0.0
-        for bucket in self._buckets:
-            self._purge_head(bucket)
-            if bucket and (best is None or bucket[0][0] < best_time):
-                best = bucket
-                best_time = bucket[0][0]
-        if best is None:
-            return None
-        self._cursor = int(best_time / self._width)
-        return best
-
-    def peek_time(self) -> float | None:
-        """Firing time of the next non-cancelled event, without removing it."""
-        bucket = self._locate()
-        return bucket[0][0] if bucket is not None else None
-
-    def pop(self) -> Event | None:
-        """Remove and return the earliest non-cancelled event (see :meth:`EventQueue.pop`)."""
-        entry = self._pop_raw(float("inf"))
-        if entry is None:
-            return None
-        item = entry[2]
-        if item.__class__ is Event:
-            return item
-        if len(entry) == 3:
-            return Event(entry[0], -1, item)
-        return Event(entry[0], -1, lambda e=entry: e[2](*e[3:]))
-
-    def _pop_raw(self, until_ms: float) -> "tuple | None":
-        """Fused peek+pop of the earliest live entry with ``time <= until_ms``."""
-        bucket = self._locate()
-        if bucket is None:
-            return None
-        entry = bucket[0]
-        if entry[0] > until_ms:
-            return None
-        del bucket[0]
-        self._count -= 1
-        self._live -= 1
-        item = entry[2]
-        if item.__class__ is Event:
-            item._queue = None
-        if (
-            self._nbuckets > CALENDAR_MIN_BUCKETS
-            and self._count < (self._nbuckets >> 2)
-        ):
-            self._rebuild(self._nbuckets >> 1)
-        return entry
-
-    def clear(self) -> None:
-        """Drop every pending event."""
-        for bucket in self._buckets:
-            for entry in bucket:
-                if entry[2].__class__ is Event:
-                    entry[2]._queue = None
-            bucket.clear()
-        self._count = 0
-        self._live = 0
-        self._cancelled_pending = 0
-
-    # ------------------------------------------------------------------
-    # Cancellation accounting + resize.
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` exactly once per pending event."""
-        self._live -= 1
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending >= COMPACTION_MIN_CANCELLED
-            and self._cancelled_pending > self._live
-        ):
-            self._rebuild(self._nbuckets)
-
-    def _rebuild(self, nbuckets: int) -> None:
-        """Refile every live entry into ``nbuckets`` buckets with a refit width.
-
-        Cancelled events are dropped (this doubles as the compaction pass).
-        The new width is twice the median gap between distinct pending times —
-        a deterministic statistic of the pending set — so bucket occupancy
-        tracks the workload's event spacing as it drifts.
-        """
-        entries: list[tuple] = []
-        for bucket in self._buckets:
-            for entry in bucket:
-                item = entry[2]
-                if item.__class__ is Event and item.cancelled:
-                    self._cancelled_pending -= 1
-                else:
-                    entries.append(entry)
-        entries.sort()
-        self._count = len(entries)
-        times = sorted({entry[0] for entry in entries})
-        if len(times) >= 2:
-            gaps = sorted(b - a for a, b in zip(times, times[1:]))
-            self._width = 2.0 * gaps[len(gaps) // 2]
-        width = self._width
-        self._nbuckets = nbuckets
-        buckets = [[] for _ in range(nbuckets)]
-        self._buckets = buckets
-        for entry in entries:
-            buckets[int(entry[0] / width) % nbuckets].append(entry)
-        if entries:
-            self._cursor = int(entries[0][0] / width)
-
-    # ------------------------------------------------------------------
-    # The drain loop.
-    # ------------------------------------------------------------------
-    def drain(
-        self,
-        clock,
-        horizon: float,
-        processed: int,
-        max_events: int,
-    ) -> int:
-        """Pop and dispatch every live entry with ``time <= horizon``.
-
-        Identical dispatch, monotonicity, and event-storm semantics to
-        :meth:`EventQueue.drain`; the only difference is where the next entry
-        comes from.
-        """
-        now = clock.now_ms
-        try:
-            while True:
-                entry = self._pop_raw(horizon)
-                if entry is None:
-                    break
-                time_ms = entry[0]
-                if time_ms != now:
-                    if time_ms < now:
-                        raise SimulationError(
-                            f"clock cannot move backwards (now={now}, "
-                            f"requested={time_ms})"
-                        )
-                    now = time_ms
-                    clock.now_ms = time_ms
-                processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        f"simulation exceeded {max_events} events; "
-                        "possible event storm"
-                    )
-                length = len(entry)
-                if length == 5:
-                    entry[2](entry[3], entry[4])
-                elif length == 6:
-                    entry[2](entry[3], entry[4], entry[5])
-                elif length == 4:
-                    entry[2](entry[3])
-                else:
-                    item = entry[2]
-                    if item.__class__ is Event:
-                        item.action()
-                    else:
-                        item()
         finally:
             self.last_drain_processed = processed
         return processed

@@ -25,7 +25,9 @@ plans compose with the batching contract without perturbing any stream.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +44,26 @@ from repro.latency.composite import PerReplicaLatency
 from repro.latency.production import WARSDistributions
 
 __all__ = ["Network"]
+
+
+class _DrawTable(dict):
+    """Per-replica draw sources for one WARS leg, resolved on first use.
+
+    A hit is a C-level dict lookup.  The table refers to its network through
+    a weak proxy: the network holds its tables, and a strong reference back
+    would make every network a reference cycle.
+    """
+
+    __slots__ = ("_network", "_leg")
+
+    def __init__(self, network: "Network", leg: str) -> None:
+        super().__init__()
+        self._network = weakref.proxy(network)
+        self._leg = leg
+
+    def __missing__(self, replica: str) -> Callable[[], float]:
+        source = self[replica] = self._network._draw_source(self._leg, replica)
+        return source
 
 
 @dataclass
@@ -99,13 +121,20 @@ class Network:
         # objects are pinned by self.distributions for the network's lifetime.
         self._buffers: dict[int, LatencyDrawBuffer] = {}
         self._loss_buffer: UniformDrawBuffer | None = None
-        # Per-leg replica → buffer caches so the delay methods are a dict hit
-        # plus a buffered draw: the per-replica resolution (isinstance check,
-        # slot validation) runs once per (leg, replica), not once per message.
-        self._w_cache: dict[str, LatencyDrawBuffer] = {}
-        self._a_cache: dict[str, LatencyDrawBuffer] = {}
-        self._r_cache: dict[str, LatencyDrawBuffer] = {}
-        self._s_cache: dict[str, LatencyDrawBuffer] = {}
+        #: Per-leg draw sources, ``write_draws[replica]()`` being the next
+        #: W-leg delay for ``replica``.  The per-replica resolution (slot
+        #: validation, buffer lookup, fault modulation) runs once per (leg,
+        #: replica); hot paths index these tables and call the source, one
+        #: Python frame per draw.
+        self.write_draws = _DrawTable(self, "W")
+        self.ack_draws = _DrawTable(self, "A")
+        self.read_draws = _DrawTable(self, "R")
+        self.response_draws = _DrawTable(self, "S")
+        #: True when delivery decisions can drop messages.  Hot paths consult
+        #: it and call :meth:`delivers` only when it is set, so lossless
+        #: partition-free runs never pay the per-message delivery check.  The
+        #: loss probability is fixed at construction; partitions refresh it.
+        self.may_drop = bool(self._partitioned) or self.loss_probability > 0.0
         if self.fault_plan is not None:
             if self.clock is None:
                 raise ConfigurationError(
@@ -146,20 +175,18 @@ class Network:
             distribution = distribution.replicas[slot]
         return self._buffer_for(distribution)
 
-    def _sample(self, distribution: LatencyDistribution, replica: str) -> float:
-        """Uncached draw for one leg/replica (kept for ad-hoc callers)."""
-        return self._resolve(distribution, replica).draw()
+    def _draw_source(self, leg: str, replica: str) -> Callable[[], float]:
+        """A zero-argument callable drawing the next ``leg`` delay for ``replica``.
 
-    @property
-    def may_drop(self) -> bool:
-        """True when delivery decisions can drop messages.
-
-        Hot paths consult this once per operation/delivery and call
-        :meth:`delivers` only when it is ``True``, so lossless partition-free
-        runs never pay the per-message delivery check.  Kept next to the drop
-        machinery so any new drop mechanism updates both together.
+        Holds no reference to the network, which holds the tables that
+        cache these sources.
         """
-        return bool(self._partitioned) or self.loss_probability > 0.0
+        draw = self._resolve(getattr(self.distributions, leg.lower()), replica).draw
+        runtime = self._fault_runtime
+        if runtime is None:
+            return draw
+        modulate = runtime.modulate
+        return lambda: modulate(leg, replica, draw())
 
     @property
     def draw_refills(self) -> int:
@@ -187,47 +214,19 @@ class Network:
 
     def write_delay(self, replica: str) -> float:
         """One-way delay for the coordinator → replica write message (``W``)."""
-        buffer = self._w_cache.get(replica)
-        if buffer is None:
-            buffer = self._resolve(self.distributions.w, replica)
-            self._w_cache[replica] = buffer
-        value = buffer.draw()
-        if self._fault_runtime is not None:
-            return self._fault_runtime.modulate("W", replica, value)
-        return value
+        return self.write_draws[replica]()
 
     def ack_delay(self, replica: str) -> float:
         """One-way delay for the replica → coordinator acknowledgement (``A``)."""
-        buffer = self._a_cache.get(replica)
-        if buffer is None:
-            buffer = self._resolve(self.distributions.a, replica)
-            self._a_cache[replica] = buffer
-        value = buffer.draw()
-        if self._fault_runtime is not None:
-            return self._fault_runtime.modulate("A", replica, value)
-        return value
+        return self.ack_draws[replica]()
 
     def read_delay(self, replica: str) -> float:
         """One-way delay for the coordinator → replica read request (``R``)."""
-        buffer = self._r_cache.get(replica)
-        if buffer is None:
-            buffer = self._resolve(self.distributions.r, replica)
-            self._r_cache[replica] = buffer
-        value = buffer.draw()
-        if self._fault_runtime is not None:
-            return self._fault_runtime.modulate("R", replica, value)
-        return value
+        return self.read_draws[replica]()
 
     def response_delay(self, replica: str) -> float:
         """One-way delay for the replica → coordinator read response (``S``)."""
-        buffer = self._s_cache.get(replica)
-        if buffer is None:
-            buffer = self._resolve(self.distributions.s, replica)
-            self._s_cache[replica] = buffer
-        value = buffer.draw()
-        if self._fault_runtime is not None:
-            return self._fault_runtime.modulate("S", replica, value)
-        return value
+        return self.response_draws[replica]()
 
     # ------------------------------------------------------------------
     # Loss and partitions.
@@ -235,14 +234,17 @@ class Network:
     def partition(self, side_a: str, side_b: str) -> None:
         """Drop all messages between two endpoints until :meth:`heal` is called."""
         self._partitioned.add(frozenset((side_a, side_b)))
+        self.may_drop = True
 
     def heal(self, side_a: str, side_b: str) -> None:
         """Remove a previously installed partition (no-op if absent)."""
         self._partitioned.discard(frozenset((side_a, side_b)))
+        self.may_drop = bool(self._partitioned) or self.loss_probability > 0.0
 
     def heal_all(self) -> None:
         """Remove every partition."""
         self._partitioned.clear()
+        self.may_drop = self.loss_probability > 0.0
 
     def delivers(self, sender: str, receiver: str) -> bool:
         """Decide whether a message between two endpoints is delivered.

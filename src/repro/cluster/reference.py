@@ -38,7 +38,6 @@ import numpy as np
 from repro.cluster.network import Network
 from repro.cluster.simulator import Simulator
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.latency.base import LatencyDistribution
 from repro.latency.composite import PerReplicaLatency
 
 __all__ = ["ReferenceEvent", "ReferenceEventQueue", "ReferenceSimulator", "ReferenceNetwork"]
@@ -64,7 +63,7 @@ class ReferenceEventQueue:
 
     def __init__(self) -> None:
         self._heap: list[ReferenceEvent] = []
-        self._counter = itertools.count()
+        self.next_sequence = itertools.count().__next__
         self.last_drain_processed = 0
 
     def __len__(self) -> int:
@@ -78,7 +77,7 @@ class ReferenceEventQueue:
             raise SimulationError(f"cannot schedule an event at negative time {time_ms}")
         event = ReferenceEvent(
             time_ms=float(time_ms),
-            sequence=next(self._counter),
+            sequence=self.next_sequence(),
             action=action,
             label=label,
         )
@@ -89,9 +88,17 @@ class ReferenceEventQueue:
         """Fast-path compatibility shim: the reference engine has no fast path."""
         return self.push(time_ms, action)
 
-    def push_call(self, time_ms: float, *call: object) -> ReferenceEvent:
-        """Fast-path compatibility shim: schedules a closure over ``call``."""
-        return self.push(time_ms, lambda: call[0](*call[1:]))
+    def push_entry(self, entry: tuple) -> None:
+        """Fast-path compatibility shim: wraps a raw ``(time, sequence, method,
+        *args)`` entry in a closure event."""
+        heapq.heappush(
+            self._heap,
+            ReferenceEvent(
+                time_ms=entry[0],
+                sequence=entry[1],
+                action=lambda: entry[2](*entry[3:]),
+            ),
+        )
 
     def pop(self) -> ReferenceEvent | None:
         """Remove and return the earliest non-cancelled event, or ``None`` if empty."""
@@ -179,7 +186,8 @@ class ReferenceNetwork(Network):
     per loss decision, frozenset membership test per message).
     """
 
-    def _sample(self, distribution: LatencyDistribution, replica: str) -> float:
+    def _draw_source(self, leg: str, replica: str) -> Callable[[], float]:
+        distribution = getattr(self.distributions, leg.lower())
         if isinstance(distribution, PerReplicaLatency):
             slot = self.replica_slots.get(replica)
             if slot is None:
@@ -187,20 +195,9 @@ class ReferenceNetwork(Network):
                     f"replica {replica!r} has no slot assignment for "
                     "per-replica latencies"
                 )
-            return float(distribution.replicas[slot].sample(1, self.rng)[0])
-        return float(distribution.sample(1, self.rng)[0])
-
-    def write_delay(self, replica: str) -> float:
-        return self._sample(self.distributions.w, replica)
-
-    def ack_delay(self, replica: str) -> float:
-        return self._sample(self.distributions.a, replica)
-
-    def read_delay(self, replica: str) -> float:
-        return self._sample(self.distributions.r, replica)
-
-    def response_delay(self, replica: str) -> float:
-        return self._sample(self.distributions.s, replica)
+            distribution = distribution.replicas[slot]
+        rng = self.rng
+        return lambda: float(distribution.sample(1, rng)[0])
 
     def delivers(self, sender: str, receiver: str) -> bool:
         if frozenset((sender, receiver)) in self._partitioned:

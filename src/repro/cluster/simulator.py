@@ -29,7 +29,7 @@ __all__ = ["Simulator"]
 
 
 def _dispatch(entry: tuple) -> None:
-    """Invoke one raw heap entry (see :meth:`EventQueue.push_call`)."""
+    """Invoke one raw heap entry (see :attr:`EventQueue.push_entry`)."""
     length = len(entry)
     if length == 5:
         entry[2](entry[3], entry[4])
@@ -57,25 +57,18 @@ class Simulator:
     max_events:
         Safety valve against runaway event storms; exceeded runs raise
         :class:`SimulationError`.
-    queue:
-        The event queue implementation (default: the tuple-heap
-        :class:`EventQueue`).  Any queue with the same push/pop/drain
-        contract works — :class:`~repro.cluster.events.CalendarQueue` is the
-        O(1)-amortised alternative selected by
-        ``DynamoCluster(engine="calendar")``.
     """
 
     def __init__(
         self,
         rng: np.random.Generator | int | None = None,
         max_events: int = 50_000_000,
-        queue: EventQueue | None = None,
     ) -> None:
         if max_events <= 0:
             raise SimulationError(f"max_events must be positive, got {max_events}")
         self.clock = SimulationClock()
         self.rng = as_rng(rng)
-        self._queue = EventQueue() if queue is None else queue
+        self._queue = EventQueue()
         self._max_events = max_events
         self._processed = 0
         self._running = False
@@ -129,7 +122,7 @@ class Simulator:
         """The simulator's event queue.
 
         Exposed so hot-path components (the coordinator's message sends) can
-        use the queue's allocation-free :meth:`EventQueue.push_call` directly
+        use the queue's allocation-free :attr:`EventQueue.push_entry` directly
         with precomputed absolute times; everything else should go through
         :meth:`schedule`/:meth:`schedule_at`, which validate times.
         """

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.cluster.antientropy import MerkleAntiEntropy
 from repro.cluster.coordinator import Coordinator, ReadHandle, WriteHandle
-from repro.cluster.events import CalendarQueue
 from repro.cluster.failures import FailureInjector
 from repro.cluster.membership import Membership
 from repro.cluster.network import Network
@@ -70,10 +69,8 @@ class DynamoCluster:
         Independent per-message drop probability.
     engine:
         ``"batched"`` (default) uses the overhauled hot path (tuple-heap
-        events, batched draw buffers); ``"calendar"`` is the same hot path on
-        the O(1)-amortised :class:`~repro.cluster.events.CalendarQueue`
-        (bit-for-bit identical traces — the queues share one ordering
-        contract); ``"reference"`` uses the pinned pre-overhaul engine
+        events, batched draw buffers); ``"reference"`` uses the pinned
+        pre-overhaul engine
         (:mod:`repro.cluster.reference`) — same protocol, same determinism
         guarantees, original per-message costs — which benchmarks use as
         their baseline.
@@ -133,10 +130,9 @@ class DynamoCluster:
                 f"coordinator count must be >= 1, got {coordinator_count}"
             )
 
-        if engine not in ("batched", "calendar", "reference"):
+        if engine not in ("batched", "reference"):
             raise ConfigurationError(
-                f"unknown simulation engine {engine!r}; "
-                "choose 'batched', 'calendar', or 'reference'"
+                f"unknown simulation engine {engine!r}; choose 'batched' or 'reference'"
             )
         if trace_backend not in ("columnar", "object"):
             raise ConfigurationError(
@@ -145,7 +141,7 @@ class DynamoCluster:
         if fault_plan is not None and engine == "reference":
             raise ConfigurationError(
                 "the pinned reference engine does not support fault plans; "
-                "use engine='batched' or engine='calendar'"
+                "use engine='batched'"
             )
         self.config = config
         self.distributions = distributions
@@ -156,9 +152,6 @@ class DynamoCluster:
 
             self.simulator = ReferenceSimulator(rng=rng)
             network_cls = ReferenceNetwork
-        elif engine == "calendar":
-            self.simulator = Simulator(rng=rng, queue=CalendarQueue())
-            network_cls = Network
         else:
             self.simulator = Simulator(rng=rng)
             network_cls = Network
@@ -290,7 +283,8 @@ class DynamoCluster:
                     f"cannot schedule an event in the past "
                     f"(now={self.simulator.clock.now_ms}, at={at_ms})"
                 )
-            self.simulator.queue.push_call(float(at_ms), chosen.write, key, value)
+            queue = self.simulator.queue
+            queue.push_entry((float(at_ms), queue.next_sequence(), chosen.write, key, value))
 
     def schedule_read(
         self, key: str, at_ms: float, coordinator: Coordinator | None = None
@@ -307,7 +301,8 @@ class DynamoCluster:
                     f"cannot schedule an event in the past "
                     f"(now={self.simulator.clock.now_ms}, at={at_ms})"
                 )
-            self.simulator.queue.push_call(float(at_ms), chosen.read, key)
+            queue = self.simulator.queue
+            queue.push_entry((float(at_ms), queue.next_sequence(), chosen.read, key))
 
     def run(self, until_ms: float | None = None) -> None:
         """Drain the event queue (optionally up to a simulated-time horizon)."""

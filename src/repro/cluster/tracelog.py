@@ -4,7 +4,8 @@ The object ``TraceLog`` spends a dataclass, two dicts, and a set on every
 operation; at 10^5+ writes per validation cell that is per-event allocator and
 GC churn the analysis layer then has to undo (re-sorting, re-grouping) before
 it can answer a single staleness query.  ``ColumnarTraceLog`` stores the same
-information as preallocated, growable numpy columns:
+information as columns — plain Python lists while recording, numpy arrays
+when analysed:
 
 * one row per write / read with scalar columns (``started_ms``,
   ``committed_ms``, interned key/coordinator ids, version timestamp + writer
@@ -43,111 +44,75 @@ __all__ = [
 
 _NO_VERSION = -1  # sentinel for "replica answered with no value" / "read returned None"
 
+#: Every column of a :class:`ColumnarTraceLog`: attribute name → (view dtype,
+#: what a value refers to).  ``"string"`` values are string-table ids
+#: (``_NO_VERSION`` passes through), ``"write_row"``/``"read_row"`` values
+#: are row numbers; :meth:`ColumnarTraceLog.merge` remaps those two kinds.
+#: Per-replica event columns come in groups sharing a prefix: ``_wa_``
+#: write arrivals (W leg), ``_wk_`` write acks (W + A legs), ``_wd_`` write
+#: drops, ``_rr_`` read responses (R + S legs), ``_rq_``/``_rl_`` the
+#: version of each response counted among the first R / arriving late.
+_COLUMNS: dict[str, tuple[str, str]] = {
+    "_w_op": ("int64", "value"),
+    "_w_key": ("int64", "string"),
+    "_w_ver_ts": ("int64", "value"),
+    "_w_ver_writer": ("int64", "string"),
+    "_w_coord": ("int64", "string"),
+    "_w_started": ("float64", "value"),
+    "_w_committed": ("float64", "value"),
+    "_wa_row": ("int64", "write_row"),
+    "_wa_node": ("int64", "string"),
+    "_wa_time": ("float64", "value"),
+    "_wk_row": ("int64", "write_row"),
+    "_wk_node": ("int64", "string"),
+    "_wk_time": ("float64", "value"),
+    "_wd_row": ("int64", "write_row"),
+    "_wd_node": ("int64", "string"),
+    "_r_op": ("int64", "value"),
+    "_r_key": ("int64", "string"),
+    "_r_coord": ("int64", "string"),
+    "_r_started": ("float64", "value"),
+    "_r_completed": ("float64", "value"),
+    "_r_timeout": ("int64", "value"),
+    "_r_ret_ts": ("int64", "value"),
+    "_r_ret_writer": ("int64", "string"),
+    "_r_repairs": ("int64", "value"),
+    "_rr_row": ("int64", "read_row"),
+    "_rr_node": ("int64", "string"),
+    "_rr_time": ("float64", "value"),
+    "_rq_row": ("int64", "read_row"),
+    "_rq_node": ("int64", "string"),
+    "_rq_ts": ("int64", "value"),
+    "_rq_writer": ("int64", "string"),
+    "_rl_row": ("int64", "read_row"),
+    "_rl_node": ("int64", "string"),
+    "_rl_ts": ("int64", "value"),
+    "_rl_writer": ("int64", "string"),
+}
 
-class _Column:
-    """One append-optimised column: a Python list with a cached ndarray view.
 
-    Scalar appends and in-place updates sit on the recording hot path — every
-    simulated message touches one — so storage is a plain list (C-speed
-    ``append``/``__setitem__``, no per-scalar numpy boxing).  The analysis
-    layer sees numpy through :meth:`view`, materialised once per log state and
-    invalidated by any mutation, so a 50k-write analysis pass pays exactly one
-    list→array conversion per column.
+class _StringTable(dict):
+    """String → id interning map that assigns the next id on a miss.
+
+    Subscripting is a C-level dict lookup on a hit, so recording paths intern
+    with ``ids[value]`` and no Python frame; ``strings`` is the id → string
+    table in first-use order.
     """
 
-    __slots__ = ("values", "_dtype", "_view")
-
-    def __init__(self, dtype: str) -> None:
-        self.values: list = []
-        self._dtype = dtype
-        self._view: "np.ndarray | None" = None
-
-    @property
-    def size(self) -> int:
-        """Number of recorded scalars."""
-        return len(self.values)
-
-    def append(self, value) -> None:
-        """Append one scalar."""
-        self.values.append(value)
-        self._view = None
-
-    def set(self, index: int, value) -> None:
-        """Overwrite one scalar in place (commit times, timeout flags, ...)."""
-        self.values[index] = value
-        self._view = None
-
-    def view(self) -> np.ndarray:
-        """The column as an ndarray, cached until the next mutation."""
-        view = self._view
-        if view is None:
-            self._view = view = np.asarray(self.values, dtype=self._dtype)
-        return view
-
-    def extend(self, values) -> None:
-        """Append a whole array or list (used by :meth:`ColumnarTraceLog.merge`)."""
-        if isinstance(values, np.ndarray):
-            values = values.tolist()
-        self.values.extend(values)
-        self._view = None
-
-    def clear(self) -> None:
-        """Reset to empty."""
-        self.values.clear()
-        self._view = None
-
-
-class _EventColumns:
-    """Flat (row, node, value) triplet columns for per-replica events."""
-
-    __slots__ = ("row", "node", "value")
-
-    def __init__(self, value_dtype: str = "float64") -> None:
-        self.row = _Column("int64")
-        self.node = _Column("int64")
-        self.value = _Column(value_dtype)
-
-    def append(self, row: int, node: int, value) -> None:
-        """Append one (row, node, value) event."""
-        self.row.append(row)
-        self.node.append(node)
-        self.value.append(value)
-
-    def clear(self) -> None:
-        """Reset all three columns."""
-        self.row.clear()
-        self.node.clear()
-        self.value.clear()
-
-
-class _VersionColumns:
-    """Flat (row, node, version-ts, version-writer) columns for read responses."""
-
-    __slots__ = ("row", "node", "ts", "writer")
+    __slots__ = ("strings",)
 
     def __init__(self) -> None:
-        self.row = _Column("int64")
-        self.node = _Column("int64")
-        self.ts = _Column("int64")
-        self.writer = _Column("int64")
+        super().__init__()
+        self.strings: list[str] = []
 
-    def append(self, row: int, node: int, ts: int, writer: int) -> None:
-        """Append one (row, node, version) event."""
-        self.row.append(row)
-        self.node.append(node)
-        self.ts.append(ts)
-        self.writer.append(writer)
-
-    def clear(self) -> None:
-        """Reset all four columns."""
-        self.row.clear()
-        self.node.clear()
-        self.ts.clear()
-        self.writer.clear()
+    def __missing__(self, value: str) -> int:
+        found = self[value] = len(self.strings)
+        self.strings.append(value)
+        return found
 
 
 class _RowIndex:
-    """row → triplet positions lookup built once per (log state, triplet set)."""
+    """row → event positions lookup built once per (log state, event group)."""
 
     __slots__ = ("order", "sorted_rows")
 
@@ -174,61 +139,60 @@ class ColumnarWriteTrace:
     @property
     def operation_id(self) -> int:
         """The operation id assigned by the coordinator."""
-        return int(self._log._w_op.values[self._row])
+        return int(self._log._w_op[self._row])
 
     @property
     def key(self) -> str:
         """The written key."""
-        return self._log._strings[self._log._w_key.values[self._row]]
+        return self._log._strings[self._log._w_key[self._row]]
 
     @property
     def version(self) -> Version:
         """The version this write created."""
         log = self._log
         return Version(
-            int(log._w_ver_ts.values[self._row]),
-            log._strings[log._w_ver_writer.values[self._row]],
+            int(log._w_ver_ts[self._row]),
+            log._strings[log._w_ver_writer[self._row]],
         )
 
     @property
     def coordinator(self) -> str:
         """Node id of the coordinating node."""
-        return self._log._strings[self._log._w_coord.values[self._row]]
+        return self._log._strings[self._log._w_coord[self._row]]
 
     @property
     def started_ms(self) -> float:
         """Simulation time the write was issued."""
-        return float(self._log._w_started.values[self._row])
+        return float(self._log._w_started[self._row])
 
     @property
     def committed_ms(self) -> Optional[float]:
         """Commit time, or ``None`` for uncommitted writes."""
-        value = self._log._w_committed.values[self._row]
+        value = self._log._w_committed[self._row]
         return None if math.isnan(value) else float(value)
 
     @property
     def replica_arrivals_ms(self) -> dict[str, float]:
         """Per-replica arrival time of the write message (the W leg), by node id."""
-        return self._log._event_dict(self._log._w_arrivals, "w_arrivals", self._row)
+        return self._log._event_dict("_wa", self._row)
 
     @property
     def ack_arrivals_ms(self) -> dict[str, float]:
         """Per-replica acknowledgement arrival time at the coordinator (W + A legs)."""
-        return self._log._event_dict(self._log._w_acks, "w_acks", self._row)
+        return self._log._event_dict("_wk", self._row)
 
     @property
     def dropped_replicas(self) -> set[str]:
         """Replicas whose write message was dropped (failure or partition)."""
         log = self._log
-        index = log._row_index(log._w_drops, "w_drops")
         strings = log._strings
-        node = log._w_drops.node.values
-        return {strings[node[p]] for p in index.positions(self._row)}
+        node = log._wd_node
+        return {strings[node[p]] for p in log._positions("_wd_row", self._row)}
 
     @property
     def committed(self) -> bool:
         """True when the coordinator received its write quorum."""
-        return not math.isnan(self._log._w_committed.values[self._row])
+        return not math.isnan(self._log._w_committed[self._row])
 
     @property
     def commit_latency_ms(self) -> Optional[float]:
@@ -261,67 +225,67 @@ class ColumnarReadTrace:
     @property
     def operation_id(self) -> int:
         """The operation id assigned by the coordinator."""
-        return int(self._log._r_op.values[self._row])
+        return int(self._log._r_op[self._row])
 
     @property
     def key(self) -> str:
         """The read key."""
-        return self._log._strings[self._log._r_key.values[self._row]]
+        return self._log._strings[self._log._r_key[self._row]]
 
     @property
     def coordinator(self) -> str:
         """Node id of the coordinating node."""
-        return self._log._strings[self._log._r_coord.values[self._row]]
+        return self._log._strings[self._log._r_coord[self._row]]
 
     @property
     def started_ms(self) -> float:
         """Simulation time the read was issued."""
-        return float(self._log._r_started.values[self._row])
+        return float(self._log._r_started[self._row])
 
     @property
     def quorum_responses(self) -> dict[str, Optional[Version]]:
         """The first R responses (node id → version, None when replica was empty)."""
-        return self._log._version_dict(self._log._r_quorum, "r_quorum", self._row)
+        return self._log._version_dict("_rq", self._row)
 
     @property
     def late_responses(self) -> dict[str, Optional[Version]]:
         """Responses that arrived after the operation already returned."""
-        return self._log._version_dict(self._log._r_late, "r_late", self._row)
+        return self._log._version_dict("_rl", self._row)
 
     @property
     def response_arrivals_ms(self) -> dict[str, float]:
         """Per-replica response arrival time at the coordinator (R + S legs)."""
-        return self._log._event_dict(self._log._r_responses, "r_responses", self._row)
+        return self._log._event_dict("_rr", self._row)
 
     @property
     def returned_version(self) -> Optional[Version]:
         """Version the coordinator returned to the client (None = key not found)."""
         log = self._log
-        ts = log._r_ret_ts.values[self._row]
+        ts = log._r_ret_ts[self._row]
         if ts == _NO_VERSION:
             return None
-        return Version(int(ts), log._strings[log._r_ret_writer.values[self._row]])
+        return Version(int(ts), log._strings[log._r_ret_writer[self._row]])
 
     @property
     def completed_ms(self) -> Optional[float]:
         """Completion time, or ``None`` when the read never assembled a quorum."""
-        value = self._log._r_completed.values[self._row]
+        value = self._log._r_completed[self._row]
         return None if math.isnan(value) else float(value)
 
     @property
     def timed_out(self) -> bool:
         """True when the read gave up before assembling R responses."""
-        return bool(self._log._r_timeout.values[self._row])
+        return bool(self._log._r_timeout[self._row])
 
     @property
     def repairs_issued(self) -> int:
         """Number of read-repair pushes this read triggered (0 when disabled)."""
-        return int(self._log._r_repairs.values[self._row])
+        return int(self._log._r_repairs[self._row])
 
     @property
     def completed(self) -> bool:
         """True when the coordinator assembled a read quorum before timing out."""
-        return not math.isnan(self._log._r_completed.values[self._row]) and not self.timed_out
+        return not math.isnan(self._log._r_completed[self._row]) and not self.timed_out
 
     @property
     def latency_ms(self) -> Optional[float]:
@@ -335,70 +299,29 @@ class ColumnarReadTrace:
 class ColumnarTraceLog:
     """Struct-of-arrays trace store with the same query surface as ``TraceLog``.
 
-    The recording API is narrow and scalar-only; views and queries reconstruct
-    the object shapes lazily.  All query indexes are cached and invalidated by
-    a mutation counter, so repeated analysis passes touch numpy only once.
+    The recording API is narrow and scalar-only: each call appends interned
+    ids and scalars to plain Python lists (C-speed ``append``, no per-scalar
+    numpy boxing).  Views and queries reconstruct the object shapes lazily;
+    the analysis layer sees numpy through cached column arrays.  Every
+    recording call bumps one mutation counter, which invalidates the cached
+    arrays and query indexes together, so a 50k-write analysis pass converts
+    each column once and repeated passes touch numpy only once.
     """
 
     __slots__ = (
         "_strings",
         "_string_ids",
-        "_w_op",
-        "_w_key",
-        "_w_ver_ts",
-        "_w_ver_writer",
-        "_w_coord",
-        "_w_started",
-        "_w_committed",
-        "_w_arrivals",
-        "_w_acks",
-        "_w_drops",
-        "_r_op",
-        "_r_key",
-        "_r_coord",
-        "_r_started",
-        "_r_completed",
-        "_r_timeout",
-        "_r_ret_ts",
-        "_r_ret_writer",
-        "_r_repairs",
-        "_r_responses",
-        "_r_quorum",
-        "_r_late",
+        *_COLUMNS,
         "_mutations",
         "_cache_token",
         "_cache",
     )
 
     def __init__(self) -> None:
-        self._strings: list[str] = []
-        self._string_ids: dict[str, int] = {}
-        # Write rows.
-        self._w_op = _Column("int64")
-        self._w_key = _Column("int64")
-        self._w_ver_ts = _Column("int64")
-        self._w_ver_writer = _Column("int64")
-        self._w_coord = _Column("int64")
-        self._w_started = _Column("float64")
-        self._w_committed = _Column("float64")
-        # Write per-replica events.
-        self._w_arrivals = _EventColumns()
-        self._w_acks = _EventColumns()
-        self._w_drops = _EventColumns("int64")  # value column unused (always 0)
-        # Read rows.
-        self._r_op = _Column("int64")
-        self._r_key = _Column("int64")
-        self._r_coord = _Column("int64")
-        self._r_started = _Column("float64")
-        self._r_completed = _Column("float64")
-        self._r_timeout = _Column("int64")
-        self._r_ret_ts = _Column("int64")
-        self._r_ret_writer = _Column("int64")
-        self._r_repairs = _Column("int64")
-        # Read per-replica events.
-        self._r_responses = _EventColumns()
-        self._r_quorum = _VersionColumns()
-        self._r_late = _VersionColumns()
+        self._string_ids = _StringTable()
+        self._strings = self._string_ids.strings
+        for name in _COLUMNS:
+            setattr(self, name, [])
         self._mutations = 0
         self._cache_token = -1
         self._cache: dict = {}
@@ -408,13 +331,7 @@ class ColumnarTraceLog:
     # ------------------------------------------------------------------
     def intern(self, value: str) -> int:
         """Intern a string (key / node id / writer), returning its table id."""
-        ids = self._string_ids
-        found = ids.get(value)
-        if found is None:
-            found = len(self._strings)
-            self._strings.append(value)
-            ids[value] = found
-        return found
+        return self._string_ids[value]
 
     def string_table(self) -> list[str]:
         """The interned string table (id → string), shared by all columns."""
@@ -436,12 +353,13 @@ class ColumnarTraceLog:
         started_ms: float,
     ) -> int:
         """Open a write row; returns the row reference used by ``note_write_*``."""
-        row = self._w_op.size
+        ids = self._string_ids
+        row = len(self._w_op)
         self._w_op.append(operation_id)
-        self._w_key.append(self.intern(key))
+        self._w_key.append(ids[key])
         self._w_ver_ts.append(version.timestamp)
-        self._w_ver_writer.append(self.intern(version.writer))
-        self._w_coord.append(self.intern(coordinator))
+        self._w_ver_writer.append(ids[version.writer])
+        self._w_coord.append(ids[coordinator])
         self._w_started.append(started_ms)
         self._w_committed.append(math.nan)
         self._mutations += 1
@@ -449,22 +367,27 @@ class ColumnarTraceLog:
 
     def note_write_arrival(self, ref: int, node_id: str, time_ms: float) -> None:
         """Record the write message reaching a replica (the W leg)."""
-        self._w_arrivals.append(ref, self.intern(node_id), time_ms)
+        self._wa_row.append(ref)
+        self._wa_node.append(self._string_ids[node_id])
+        self._wa_time.append(time_ms)
         self._mutations += 1
 
     def note_write_ack(self, ref: int, node_id: str, time_ms: float) -> None:
         """Record a replica acknowledgement reaching the coordinator (W + A legs)."""
-        self._w_acks.append(ref, self.intern(node_id), time_ms)
+        self._wk_row.append(ref)
+        self._wk_node.append(self._string_ids[node_id])
+        self._wk_time.append(time_ms)
         self._mutations += 1
 
     def note_write_commit(self, ref: int, time_ms: float) -> None:
         """Record the coordinator assembling its write quorum."""
-        self._w_committed.set(ref, time_ms)
+        self._w_committed[ref] = time_ms
         self._mutations += 1
 
     def note_write_drop(self, ref: int, node_id: str) -> None:
         """Record a write message dropped on the way to a replica."""
-        self._w_drops.append(ref, self.intern(node_id), 0)
+        self._wd_row.append(ref)
+        self._wd_node.append(self._string_ids[node_id])
         self._mutations += 1
 
     def write_view(self, ref: int) -> ColumnarWriteTrace:
@@ -478,10 +401,11 @@ class ColumnarTraceLog:
         self, operation_id: int, key: str, coordinator: str, started_ms: float
     ) -> int:
         """Open a read row; returns the row reference used by ``note_read_*``."""
-        row = self._r_op.size
+        ids = self._string_ids
+        row = len(self._r_op)
         self._r_op.append(operation_id)
-        self._r_key.append(self.intern(key))
-        self._r_coord.append(self.intern(coordinator))
+        self._r_key.append(ids[key])
+        self._r_coord.append(ids[coordinator])
         self._r_started.append(started_ms)
         self._r_completed.append(math.nan)
         self._r_timeout.append(0)
@@ -491,49 +415,89 @@ class ColumnarTraceLog:
         self._mutations += 1
         return row
 
+    def note_read_reply(
+        self,
+        ref: int,
+        node_id: str,
+        time_ms: float,
+        version: Optional[Version],
+        in_quorum: bool,
+    ) -> None:
+        """Record one replica response: its arrival and the version it carried.
+
+        Equivalent to :meth:`note_read_response` followed by
+        :meth:`note_read_quorum` (``in_quorum``) or :meth:`note_read_late`,
+        in one call — the coordinator's per-response recording path.
+        """
+        ids = self._string_ids
+        node = ids[node_id]
+        self._rr_row.append(ref)
+        self._rr_node.append(node)
+        self._rr_time.append(time_ms)
+        if version is None:
+            ts = writer = _NO_VERSION
+        else:
+            ts = version.timestamp
+            writer = ids[version.writer]
+        if in_quorum:
+            self._rq_row.append(ref)
+            self._rq_node.append(node)
+            self._rq_ts.append(ts)
+            self._rq_writer.append(writer)
+        else:
+            self._rl_row.append(ref)
+            self._rl_node.append(node)
+            self._rl_ts.append(ts)
+            self._rl_writer.append(writer)
+        self._mutations += 1
+
     def note_read_response(self, ref: int, node_id: str, time_ms: float) -> None:
         """Record a replica response reaching the coordinator (R + S legs)."""
-        self._r_responses.append(ref, self.intern(node_id), time_ms)
+        self._rr_row.append(ref)
+        self._rr_node.append(self._string_ids[node_id])
+        self._rr_time.append(time_ms)
         self._mutations += 1
 
     def note_read_quorum(self, ref: int, node_id: str, version: Optional[Version]) -> None:
         """Record a response counted among the first R."""
-        if version is None:
-            self._r_quorum.append(ref, self.intern(node_id), _NO_VERSION, _NO_VERSION)
-        else:
-            self._r_quorum.append(
-                ref, self.intern(node_id), version.timestamp, self.intern(version.writer)
-            )
-        self._mutations += 1
+        self._note_read_version("_rq", ref, node_id, version)
 
     def note_read_late(self, ref: int, node_id: str, version: Optional[Version]) -> None:
         """Record a response that arrived after the read already returned."""
+        self._note_read_version("_rl", ref, node_id, version)
+
+    def _note_read_version(
+        self, group: str, ref: int, node_id: str, version: Optional[Version]
+    ) -> None:
+        ids = self._string_ids
+        getattr(self, group + "_row").append(ref)
+        getattr(self, group + "_node").append(ids[node_id])
         if version is None:
-            self._r_late.append(ref, self.intern(node_id), _NO_VERSION, _NO_VERSION)
+            getattr(self, group + "_ts").append(_NO_VERSION)
+            getattr(self, group + "_writer").append(_NO_VERSION)
         else:
-            self._r_late.append(
-                ref, self.intern(node_id), version.timestamp, self.intern(version.writer)
-            )
+            getattr(self, group + "_ts").append(version.timestamp)
+            getattr(self, group + "_writer").append(ids[version.writer])
         self._mutations += 1
 
     def note_read_complete(
         self, ref: int, version: Optional[Version], time_ms: float
     ) -> None:
         """Record the read returning ``version`` to the client at ``time_ms``."""
-        self._r_completed.set(ref, time_ms)
+        self._r_completed[ref] = time_ms
         if version is not None:
-            self._r_ret_ts.set(ref, version.timestamp)
-            self._r_ret_writer.set(ref, self.intern(version.writer))
+            self._r_ret_ts[ref] = version.timestamp
+            self._r_ret_writer[ref] = self._string_ids[version.writer]
         self._mutations += 1
 
     def note_read_timeout(self, ref: int) -> None:
         """Record the read giving up before assembling R responses."""
-        self._r_timeout.set(ref, 1)
+        self._r_timeout[ref] = 1
         self._mutations += 1
 
     def note_read_repair(self, ref: int) -> None:
         """Record one read-repair push triggered by this read."""
-        self._r_repairs.set(ref, self._r_repairs.values[ref] + 1)
+        self._r_repairs[ref] += 1
         self._mutations += 1
 
     def read_view(self, ref: int) -> ColumnarReadTrace:
@@ -629,22 +593,22 @@ class ColumnarTraceLog:
     @property
     def writes(self) -> list[ColumnarWriteTrace]:
         """Lazy views of every write row, in record order."""
-        return [ColumnarWriteTrace(self, row) for row in range(self._w_op.size)]
+        return [ColumnarWriteTrace(self, row) for row in range(len(self._w_op))]
 
     @property
     def reads(self) -> list[ColumnarReadTrace]:
         """Lazy views of every read row, in record order."""
-        return [ColumnarReadTrace(self, row) for row in range(self._r_op.size)]
+        return [ColumnarReadTrace(self, row) for row in range(len(self._r_op))]
 
     @property
     def write_count(self) -> int:
         """Number of write rows recorded."""
-        return self._w_op.size
+        return len(self._w_op)
 
     @property
     def read_count(self) -> int:
         """Number of read rows recorded."""
-        return self._r_op.size
+        return len(self._r_op)
 
     # ------------------------------------------------------------------
     # Column accessors for the vectorized analysis layer.
@@ -652,27 +616,27 @@ class ColumnarTraceLog:
     def write_columns(self) -> dict[str, np.ndarray]:
         """Zero-copy views of the scalar write columns, keyed by name."""
         return {
-            "operation_id": self._w_op.view(),
-            "key": self._w_key.view(),
-            "version_ts": self._w_ver_ts.view(),
-            "version_writer": self._w_ver_writer.view(),
-            "coordinator": self._w_coord.view(),
-            "started_ms": self._w_started.view(),
-            "committed_ms": self._w_committed.view(),
+            "operation_id": self._view("_w_op"),
+            "key": self._view("_w_key"),
+            "version_ts": self._view("_w_ver_ts"),
+            "version_writer": self._view("_w_ver_writer"),
+            "coordinator": self._view("_w_coord"),
+            "started_ms": self._view("_w_started"),
+            "committed_ms": self._view("_w_committed"),
         }
 
     def read_columns(self) -> dict[str, np.ndarray]:
         """Zero-copy views of the scalar read columns, keyed by name."""
         return {
-            "operation_id": self._r_op.view(),
-            "key": self._r_key.view(),
-            "coordinator": self._r_coord.view(),
-            "started_ms": self._r_started.view(),
-            "completed_ms": self._r_completed.view(),
-            "timed_out": self._r_timeout.view(),
-            "returned_ts": self._r_ret_ts.view(),
-            "returned_writer": self._r_ret_writer.view(),
-            "repairs": self._r_repairs.view(),
+            "operation_id": self._view("_r_op"),
+            "key": self._view("_r_key"),
+            "coordinator": self._view("_r_coord"),
+            "started_ms": self._view("_r_started"),
+            "completed_ms": self._view("_r_completed"),
+            "timed_out": self._view("_r_timeout"),
+            "returned_ts": self._view("_r_ret_ts"),
+            "returned_writer": self._view("_r_ret_writer"),
+            "repairs": self._view("_r_repairs"),
         }
 
     def writer_sort_ranks(self) -> np.ndarray:
@@ -701,31 +665,37 @@ class ColumnarTraceLog:
             self._cache_token = self._mutations
         return self._cache
 
-    def _row_index(self, columns, name: str) -> _RowIndex:
+    def _view(self, name: str) -> np.ndarray:
+        """Column ``name`` as an ndarray, cached until the next mutation."""
         cache = self._query_cache()
-        index = cache.get(name)
+        view = cache.get(name)
+        if view is None:
+            view = cache[name] = np.asarray(getattr(self, name), dtype=_COLUMNS[name][0])
+        return view
+
+    def _positions(self, rows: str, row: int) -> np.ndarray:
+        """Positions of ``row``'s entries in the event column group ``rows``."""
+        cache = self._query_cache()
+        index = cache.get(("index", rows))
         if index is None:
-            index = _RowIndex(columns.row.view())
-            cache[name] = index
-        return index
+            index = cache[("index", rows)] = _RowIndex(self._view(rows))
+        return index.positions(row)
 
-    def _event_dict(self, columns: _EventColumns, name: str, row: int) -> dict[str, float]:
-        index = self._row_index(columns, name)
+    def _event_dict(self, group: str, row: int) -> dict[str, float]:
         strings = self._strings
-        node = columns.node.values
-        value = columns.value.values
-        return {strings[node[p]]: float(value[p]) for p in index.positions(row)}
+        node = getattr(self, group + "_node")
+        value = getattr(self, group + "_time")
+        return {
+            strings[node[p]]: float(value[p]) for p in self._positions(group + "_row", row)
+        }
 
-    def _version_dict(
-        self, columns: _VersionColumns, name: str, row: int
-    ) -> dict[str, Optional[Version]]:
-        index = self._row_index(columns, name)
+    def _version_dict(self, group: str, row: int) -> dict[str, Optional[Version]]:
         strings = self._strings
-        node = columns.node.values
-        ts = columns.ts.values
-        writer = columns.writer.values
+        node = getattr(self, group + "_node")
+        ts = getattr(self, group + "_ts")
+        writer = getattr(self, group + "_writer")
         result: dict[str, Optional[Version]] = {}
-        for p in index.positions(row):
+        for p in self._positions(group + "_row", row):
             stamp = ts[p]
             result[strings[node[p]]] = (
                 None if stamp == _NO_VERSION else Version(int(stamp), strings[writer[p]])
@@ -737,14 +707,14 @@ class ColumnarTraceLog:
         cache = self._query_cache()
         cached = cache.get(("committed", key))
         if cached is None:
-            committed = self._w_committed.view()
+            committed = self._view("_w_committed")
             mask = ~np.isnan(committed)
             if key is not None:
                 key_id = self._string_ids.get(key)
                 if key_id is None:
                     mask = np.zeros_like(mask)
                 else:
-                    mask = mask & (self._w_key.view() == key_id)
+                    mask = mask & (self._view("_w_key") == key_id)
             rows = np.flatnonzero(mask)
             cached = rows[np.argsort(committed[rows], kind="stable")]
             cache[("committed", key)] = cached
@@ -755,16 +725,16 @@ class ColumnarTraceLog:
         cache = self._query_cache()
         cached = cache.get(("completed", key))
         if cached is None:
-            completed = self._r_completed.view()
-            mask = ~np.isnan(completed) & (self._r_timeout.view() == 0)
+            completed = self._view("_r_completed")
+            mask = ~np.isnan(completed) & (self._view("_r_timeout") == 0)
             if key is not None:
                 key_id = self._string_ids.get(key)
                 if key_id is None:
                     mask = np.zeros_like(mask)
                 else:
-                    mask = mask & (self._r_key.view() == key_id)
+                    mask = mask & (self._view("_r_key") == key_id)
             rows = np.flatnonzero(mask)
-            cached = rows[np.argsort(self._r_started.view()[rows], kind="stable")]
+            cached = rows[np.argsort(self._view("_r_started")[rows], kind="stable")]
             cache[("completed", key)] = cached
         return cached
 
@@ -774,9 +744,9 @@ class ColumnarTraceLog:
         cached = cache.get(("key_index", key))
         if cached is None:
             rows = self._committed_order(key)
-            times = self._w_committed.view()[rows]
-            ts = self._w_ver_ts.view()[rows]
-            writer = self._w_ver_writer.view()[rows]
+            times = self._view("_w_committed")[rows]
+            ts = self._view("_w_ver_ts")[rows]
+            writer = self._view("_w_ver_writer")[rows]
             prefix_max: list[Version] = []
             best: Optional[Version] = None
             strings = self._strings
@@ -830,11 +800,10 @@ class ColumnarTraceLog:
 
     def clear(self) -> None:
         """Drop all recorded traces (string table included)."""
-        for name in self.__slots__:
-            if name.startswith(("_w_", "_r_")):
-                getattr(self, name).clear()
-        self._strings = []
-        self._string_ids = {}
+        for name in _COLUMNS:
+            getattr(self, name).clear()
+        self._string_ids = _StringTable()
+        self._strings = self._string_ids.strings
         self._mutations += 1
 
     # ------------------------------------------------------------------
@@ -844,80 +813,21 @@ class ColumnarTraceLog:
     def merge(cls, logs: Sequence["ColumnarTraceLog"]) -> "ColumnarTraceLog":
         """Concatenate logs column-wise in block order.
 
-        String ids and triplet row references are remapped, so merging the
+        String ids and event row references are remapped, so merging the
         per-block logs of a sharded run reproduces the serial log's query
         results exactly (same rows, same order, same strings).
         """
         merged = cls()
         for log in logs:
-            remap = np.asarray(
-                [merged.intern(value) for value in log._strings], dtype=np.int64
-            )
-            write_offset = merged._w_op.size
-            read_offset = merged._r_op.size
-            merged._w_op.extend(log._w_op.view())
-            merged._w_key.extend(remap[log._w_key.view()] if log._w_key.size else log._w_key.view())
-            merged._w_ver_ts.extend(log._w_ver_ts.view())
-            merged._w_ver_writer.extend(
-                remap[log._w_ver_writer.view()] if log._w_ver_writer.size else log._w_ver_writer.view()
-            )
-            merged._w_coord.extend(
-                remap[log._w_coord.view()] if log._w_coord.size else log._w_coord.view()
-            )
-            merged._w_started.extend(log._w_started.view())
-            merged._w_committed.extend(log._w_committed.view())
-            for source, target in (
-                (log._w_arrivals, merged._w_arrivals),
-                (log._w_acks, merged._w_acks),
-                (log._w_drops, merged._w_drops),
-            ):
-                target.row.extend(source.row.view() + write_offset)
-                target.node.extend(
-                    remap[source.node.view()] if source.node.size else source.node.view()
-                )
-                target.value.extend(source.value.view())
-            merged._r_op.extend(log._r_op.view())
-            merged._r_key.extend(remap[log._r_key.view()] if log._r_key.size else log._r_key.view())
-            merged._r_coord.extend(
-                remap[log._r_coord.view()] if log._r_coord.size else log._r_coord.view()
-            )
-            merged._r_started.extend(log._r_started.view())
-            merged._r_completed.extend(log._r_completed.view())
-            merged._r_timeout.extend(log._r_timeout.view())
-            ret_writer = log._r_ret_writer.view()
-            if ret_writer.size:
-                remapped_writer = np.where(
-                    ret_writer == _NO_VERSION, np.int64(_NO_VERSION), remap[ret_writer]
-                )
-            else:
-                remapped_writer = ret_writer
-            merged._r_ret_ts.extend(log._r_ret_ts.view())
-            merged._r_ret_writer.extend(remapped_writer)
-            merged._r_repairs.extend(log._r_repairs.view())
-            merged._r_responses.row.extend(log._r_responses.row.view() + read_offset)
-            merged._r_responses.node.extend(
-                remap[log._r_responses.node.view()]
-                if log._r_responses.node.size
-                else log._r_responses.node.view()
-            )
-            merged._r_responses.value.extend(log._r_responses.value.view())
-            for source, target in (
-                (log._r_quorum, merged._r_quorum),
-                (log._r_late, merged._r_late),
-            ):
-                target.row.extend(source.row.view() + read_offset)
-                target.node.extend(
-                    remap[source.node.view()] if source.node.size else source.node.view()
-                )
-                ts_values = source.ts.view()
-                writer_values = source.writer.view()
-                if writer_values.size:
-                    writer_values = np.where(
-                        writer_values == _NO_VERSION,
-                        np.int64(_NO_VERSION),
-                        remap[writer_values],
-                    )
-                target.ts.extend(ts_values)
-                target.writer.extend(writer_values)
+            remap = [merged._string_ids[value] for value in log._strings]
+            offsets = {"write_row": len(merged._w_op), "read_row": len(merged._r_op)}
+            for name, (_, kind) in _COLUMNS.items():
+                source = getattr(log, name)
+                if kind == "string":
+                    source = [_NO_VERSION if v == _NO_VERSION else remap[v] for v in source]
+                elif kind != "value":
+                    offset = offsets[kind]
+                    source = [v + offset for v in source]
+                getattr(merged, name).extend(source)
             merged._mutations += 1
         return merged

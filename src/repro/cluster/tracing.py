@@ -190,6 +190,26 @@ class TraceLog:
         self._mutations += 1
         return trace
 
+    def note_read_reply(
+        self,
+        ref: ReadTrace,
+        node_id: str,
+        time_ms: float,
+        version: Optional[Version],
+        in_quorum: bool,
+    ) -> None:
+        """Record one replica response: its arrival and the version it carried.
+
+        Equivalent to :meth:`note_read_response` followed by
+        :meth:`note_read_quorum` (``in_quorum``) or :meth:`note_read_late`.
+        """
+        ref.response_arrivals_ms[node_id] = time_ms
+        if in_quorum:
+            ref.quorum_responses[node_id] = version
+        else:
+            ref.late_responses[node_id] = version
+        self._mutations += 1
+
     def note_read_response(self, ref: ReadTrace, node_id: str, time_ms: float) -> None:
         """Record a replica response reaching the coordinator (R + S legs)."""
         ref.response_arrivals_ms[node_id] = time_ms

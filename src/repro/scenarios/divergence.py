@@ -383,8 +383,8 @@ def run_scenario(
 
     # --- Operation latency percentile divergence. ---
     percentile_list = list(latency_percentiles)
-    predicted_reads = [predicted.read_latency_percentile(p) for p in percentile_list]
-    predicted_writes = [predicted.write_latency_percentile(p) for p in percentile_list]
+    predicted_reads = predicted.read_latency_percentiles(percentile_list)
+    predicted_writes = predicted.write_latency_percentiles(percentile_list)
     measured_read_pct = list(np.percentile(measured_reads, percentile_list))
     measured_write_pct = list(np.percentile(measured_writes, percentile_list))
 

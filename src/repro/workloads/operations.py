@@ -131,6 +131,9 @@ def validation_workload(
     recovered later from the traces).  The offsets should be smaller than the
     write interval so each read races exactly one write, matching the paper's
     methodology of overwriting a single key while concurrently reading it.
+
+    Operations are built already in :class:`Operation` order — start time,
+    with reads at a write's own start time ahead of it — so no sort is needed.
     """
     if writes < 1:
         raise WorkloadError(f"at least one write is required, got {writes}")
@@ -146,23 +149,15 @@ def validation_workload(
             "exactly one write"
         )
 
+    offsets = sorted(float(offset) for offset in read_offsets_ms)
+    read, write = OperationKind.READ, OperationKind.WRITE
     operations: list[Operation] = []
     for index in range(writes):
         write_time = start_ms + index * write_interval_ms
-        operations.append(
-            Operation(
-                start_ms=write_time,
-                kind=OperationKind.WRITE,
-                key=key,
-                value=f"version-{index}",
-            )
-        )
-        for offset in read_offsets_ms:
-            operations.append(
-                Operation(
-                    start_ms=write_time + float(offset),
-                    kind=OperationKind.READ,
-                    key=key,
-                )
-            )
-    return sorted(operations)
+        reads = [Operation(write_time + offset, read, key) for offset in offsets]
+        # Reads at the write's own start time sort before it (READ < WRITE).
+        concurrent = sum(1 for operation in reads if operation.start_ms == write_time)
+        operations.extend(reads[:concurrent])
+        operations.append(Operation(write_time, write, key, f"version-{index}"))
+        operations.extend(reads[concurrent:])
+    return operations

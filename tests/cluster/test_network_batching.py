@@ -217,6 +217,10 @@ class TestEndToEndDeterminism:
         batched_off = _run_cluster(17, draw_batch_size=1)
         reference = _run_cluster(17, engine="reference", event_labels=True)
         assert _trace_fingerprint(batched_off) == _trace_fingerprint(reference)
+        # Unlabelled, the reference queue and network serve the flattened
+        # send path (raw heap entries, per-replica draw sources).
+        unlabelled = _run_cluster(17, engine="reference")
+        assert _trace_fingerprint(batched_off) == _trace_fingerprint(unlabelled)
 
     def test_batch_size_changes_stream_but_not_statistics(self):
         # Different batch sizes give different (but statistically equivalent)

@@ -154,6 +154,45 @@ class TestSimulator:
         assert simulator.now_ms == 0.0
         assert simulator.processed_events == 0
 
+    def test_reset_mid_run_then_rerun_matches_fresh_simulator(self):
+        """reset() with raw call entries pending (every message delivery is
+        one) clears them, and a rerun replays a fresh simulator exactly."""
+
+        def ping_pong(simulator: Simulator, trace: list) -> None:
+            queue = simulator.queue
+
+            def hop(remaining: int, tag: str) -> None:
+                trace.append((simulator.now_ms, tag, remaining))
+                if remaining:
+                    queue.push_entry(
+                        (simulator.now_ms + 1.5, queue.next_sequence(), hop, remaining - 1, tag)
+                    )
+
+            for tag in ("a", "b"):
+                queue.push_entry((0.5, queue.next_sequence(), hop, 40, tag))
+            simulator.schedule_action(3.0, lambda: trace.append("action"))
+            timeout = simulator.schedule(500.0, lambda: trace.append("timeout"))
+            simulator.schedule(20.0, timeout.cancel)
+
+        fresh, expected = Simulator(rng=0), []
+        ping_pong(fresh, expected)
+        fresh.run()
+
+        simulator, partial = Simulator(rng=0), []
+        ping_pong(simulator, partial)
+        simulator.run(until_ms=10.0)
+        assert simulator.pending_events > 0
+        simulator.reset()
+        assert simulator.pending_events == 0
+        assert simulator.now_ms == 0.0 and simulator.processed_events == 0
+
+        rerun: list = []
+        ping_pong(simulator, rerun)
+        simulator.run()
+        assert rerun == expected
+        assert simulator.processed_events == fresh.processed_events
+        assert simulator.pending_events == 0
+
     def test_step_returns_false_when_empty(self):
         assert Simulator(rng=0).step() is False
 
@@ -257,25 +296,41 @@ class TestLiveCountAccounting:
 
 
 class TestFastPathScheduling:
-    def test_push_call_dispatches_with_arguments(self):
+    def test_push_entry_dispatches_with_arguments(self):
         simulator = Simulator(rng=0)
+        queue = simulator.queue
         seen: list[tuple] = []
 
         def record(a, b):
             seen.append((a, b, simulator.now_ms))
 
-        simulator.queue.push_call(4.0, record, "x", 1)
-        simulator.queue.push_call(2.0, record, "y", 2)
+        queue.push_entry((4.0, queue.next_sequence(), record, "x", 1))
+        queue.push_entry((2.0, queue.next_sequence(), record, "y", 2))
+        assert len(queue) == 2
         simulator.run()
         assert seen == [("y", 2, 2.0), ("x", 1, 4.0)]
         assert simulator.processed_events == 2
+        assert len(queue) == 0
 
-    def test_push_call_three_arguments_and_step(self):
+    def test_push_entry_three_arguments_and_step(self):
         simulator = Simulator(rng=0)
+        queue = simulator.queue
         seen: list[tuple] = []
-        simulator.queue.push_call(1.0, lambda a, b, c: seen.append((a, b, c)), 1, 2, 3)
+        queue.push_entry(
+            (1.0, queue.next_sequence(), lambda a, b, c: seen.append((a, b, c)), 1, 2, 3)
+        )
         assert simulator.step() is True
         assert seen == [(1, 2, 3)]
+
+    def test_entries_and_events_share_one_sequence(self):
+        queue = EventQueue()
+        fired: list[str] = []
+        queue.push(1.0, lambda: fired.append("event"))
+        queue.push_entry((1.0, queue.next_sequence(), fired.append, "entry"))
+        queue.push_action(1.0, lambda: fired.append("action"))
+        while (event := queue.pop()) is not None:
+            event.action()
+        assert fired == ["event", "entry", "action"]
 
     def test_schedule_action_runs_without_event_allocation(self):
         simulator = Simulator(rng=0)
@@ -299,7 +354,7 @@ class TestFastPathScheduling:
     def test_pop_wraps_raw_entries_in_events(self):
         queue = EventQueue()
         fired: list[int] = []
-        queue.push_call(1.0, fired.append, 7)
+        queue.push_entry((1.0, queue.next_sequence(), fired.append, 7))
         event = queue.pop()
         assert event is not None
         event.action()

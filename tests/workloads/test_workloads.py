@@ -169,6 +169,20 @@ class TestValidationWorkload:
         writes = [op for op in operations if op.kind is OperationKind.WRITE]
         assert [op.value for op in writes] == ["version-0", "version-1"]
 
+    def test_operations_come_out_in_sorted_order(self):
+        # Unsorted, repeated and zero offsets: a read at offset 0 starts with
+        # its write and sorts before it.
+        operations = validation_workload(
+            key="k",
+            writes=20,
+            write_interval_ms=100.0,
+            read_offsets_ms=(20.0, 0.0, 5.0, 0.0, 99.5),
+            start_ms=3.3,
+        )
+        assert operations == sorted(operations)
+        assert operations[0].kind is OperationKind.READ
+        assert operations[2].kind is OperationKind.WRITE
+
     def test_offsets_must_fit_within_interval(self):
         with pytest.raises(WorkloadError):
             validation_workload(
