@@ -130,11 +130,7 @@ class Network:
         self.ack_draws = _DrawTable(self, "A")
         self.read_draws = _DrawTable(self, "R")
         self.response_draws = _DrawTable(self, "S")
-        #: True when delivery decisions can drop messages.  Hot paths consult
-        #: it and call :meth:`delivers` only when it is set, so lossless
-        #: partition-free runs never pay the per-message delivery check.  The
-        #: loss probability is fixed at construction; partitions refresh it.
-        self.may_drop = bool(self._partitioned) or self.loss_probability > 0.0
+        self._update_may_drop()
         if self.fault_plan is not None:
             if self.clock is None:
                 raise ConfigurationError(
@@ -234,17 +230,25 @@ class Network:
     def partition(self, side_a: str, side_b: str) -> None:
         """Drop all messages between two endpoints until :meth:`heal` is called."""
         self._partitioned.add(frozenset((side_a, side_b)))
-        self.may_drop = True
+        self._update_may_drop()
 
     def heal(self, side_a: str, side_b: str) -> None:
         """Remove a previously installed partition (no-op if absent)."""
         self._partitioned.discard(frozenset((side_a, side_b)))
-        self.may_drop = bool(self._partitioned) or self.loss_probability > 0.0
+        self._update_may_drop()
 
     def heal_all(self) -> None:
         """Remove every partition."""
         self._partitioned.clear()
-        self.may_drop = self.loss_probability > 0.0
+        self._update_may_drop()
+
+    def _update_may_drop(self) -> None:
+        #: True when delivery decisions can drop messages.  Hot paths read
+        #: this attribute and call :meth:`delivers` only when it is set, so
+        #: lossless partition-free runs never pay the per-message delivery
+        #: check.  The loss probability is fixed at construction; every
+        #: partition change refreshes it.
+        self.may_drop = bool(self._partitioned) or self.loss_probability > 0.0
 
     def delivers(self, sender: str, receiver: str) -> bool:
         """Decide whether a message between two endpoints is delivered.

@@ -89,8 +89,7 @@ class ReferenceEventQueue:
         return self.push(time_ms, action)
 
     def push_entry(self, entry: tuple) -> None:
-        """Fast-path compatibility shim: wraps a raw ``(time, sequence, method,
-        *args)`` entry in a closure event."""
+        """Fast-path compatibility shim: wraps a raw heap entry in a closure event."""
         heapq.heappush(
             self._heap,
             ReferenceEvent(

@@ -46,8 +46,8 @@ _NO_VERSION = -1  # sentinel for "replica answered with no value" / "read return
 
 #: Every column of a :class:`ColumnarTraceLog`: attribute name → (view dtype,
 #: what a value refers to).  ``"string"`` values are string-table ids
-#: (``_NO_VERSION`` passes through), ``"write_row"``/``"read_row"`` values
-#: are row numbers; :meth:`ColumnarTraceLog.merge` remaps those two kinds.
+#: (``_NO_VERSION`` passes through) and ``"write_row"``/``"read_row"`` values
+#: are row numbers, which :meth:`ColumnarTraceLog.merge` remaps and offsets.
 #: Per-replica event columns come in groups sharing a prefix: ``_wa_``
 #: write arrivals (W leg), ``_wk_`` write acks (W + A legs), ``_wd_`` write
 #: drops, ``_rr_`` read responses (R + S legs), ``_rq_``/``_rl_`` the
@@ -469,6 +469,7 @@ class ColumnarTraceLog:
     def _note_read_version(
         self, group: str, ref: int, node_id: str, version: Optional[Version]
     ) -> None:
+        """Append one (row, node, version) entry to the ``group`` columns."""
         ids = self._string_ids
         getattr(self, group + "_row").append(ref)
         getattr(self, group + "_node").append(ids[node_id])

@@ -13,7 +13,9 @@ A digest changes when anything about the simulation changes: which message
 receives which latency draw, the ``(time, sequence)`` order of events, the
 number of events, or what the coordinator records.  A change that is meant
 to be behaviour-preserving (a hot-path rewrite, a storage refactor, deleting
-an alternate engine) must leave every digest as it is.
+an alternate engine) must leave every digest as it is.  The digests also
+depend on NumPy's generator streams: if a NumPy upgrade moves them, confirm
+that the unchanged parent commit moves identically before regenerating.
 """
 
 from __future__ import annotations
