@@ -262,3 +262,29 @@ class TestNoReferenceCycles:
             assert not any(trace.committed for trace in cluster.trace_log.writes)
 
         assert _unreachable_after(run) < 100
+
+    def test_finished_operations_cancel_their_timeouts_and_drop_the_actions(self):
+        cluster = DynamoCluster(ReplicaConfig(3, 1, 1), constant_wars(), rng=0)
+        coordinator = cluster.coordinators[0]
+        write = coordinator.write("key", "value")
+        write_timeout = write._timeout_event
+        cluster.run()
+        read = coordinator.read("key")
+        read_timeout = read._timeout_event
+        cluster.run()
+        assert write.committed and read.trace.completed
+        for timeout in (write_timeout, read_timeout):
+            assert timeout.cancelled and timeout.action is None
+
+    def test_fired_timeouts_clear_the_handle_reference(self):
+        cluster = DynamoCluster(ReplicaConfig(3, 1, 1), constant_wars(), timeout_ms=50.0, rng=0)
+        for node in cluster.nodes:
+            node.crash()
+        coordinator = cluster.coordinators[0]
+        write = coordinator.write("key", "value")
+        read = coordinator.read("key")
+        assert write._timeout_event is not None and read._timeout_event is not None
+        cluster.run()
+        assert write.finished and not write.committed
+        assert read.trace.timed_out
+        assert write._timeout_event is None and read._timeout_event is None

@@ -12,6 +12,9 @@ The contract under test (see :mod:`repro.cluster.sampling`):
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +167,69 @@ class TestNetworkBatching:
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ConfigurationError):
             _network(seed=0, batch_size=0)
+
+
+class TestDrawTables:
+    """Per-(leg, replica) draw sources, resolved once and indexed by hot paths."""
+
+    def test_sources_are_resolved_once_and_match_the_delay_methods(self):
+        network = _network(seed=5, batch_size=16)
+        twin = _network(seed=5, batch_size=16)
+        source = network.write_draws["n0"]
+        assert network.write_draws["n0"] is source
+        assert list(network.write_draws) == ["n0"]
+        requests = [("write", "n0"), ("ack", "n1"), ("read", "n2"), ("response", "n0")] * 10
+        for leg, replica in requests:
+            drawn = getattr(network, f"{leg}_draws")[replica]()
+            assert drawn == getattr(twin, f"{leg}_delay")(replica)
+        assert network.draws_consumed == twin.draws_consumed == len(requests)
+
+    def test_unresolvable_replica_raises_and_is_not_cached(self):
+        local = ExponentialLatency.from_mean(1.0)
+        distributions = WARSDistributions(
+            w=PerReplicaLatency(replicas=(local, local, local)), a=local, r=local, s=local
+        )
+        network = Network(
+            distributions=distributions,
+            rng=np.random.default_rng(0),
+            replica_slots={"n0": 0},
+        )
+        with pytest.raises(ConfigurationError):
+            network.write_draws["n9"]
+        assert "n9" not in network.write_draws
+        assert network.ack_draws["n9"]() > 0.0  # IID legs need no slot
+
+    def test_may_drop_follows_loss_and_partitions(self):
+        network = _network(seed=0)
+        assert network.may_drop is False
+        network.partition("c", "n0")
+        network.partition("c", "n1")
+        network.heal("c", "n0")
+        assert network.may_drop is True
+        network.heal("c", "n1")
+        assert network.may_drop is False
+        network.partition("c", "n2")
+        network.heal_all()
+        assert network.may_drop is False
+        lossy = _network(seed=0, loss=0.1)
+        assert lossy.may_drop is True
+        lossy.partition("c", "n0")
+        lossy.heal_all()
+        assert lossy.may_drop is True
+
+    def test_network_is_freed_by_reference_counting(self):
+        network = _network(seed=0)
+        for leg in ("write", "ack", "read", "response"):
+            getattr(network, f"{leg}_delay")("n0")
+        alive = weakref.ref(network)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del network
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 def _trace_fingerprint(cluster: DynamoCluster) -> tuple:

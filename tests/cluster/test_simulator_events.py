@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cluster.clock import SimulationClock
@@ -64,6 +67,42 @@ class TestEventQueue:
             event.action()
         assert fired == ["keep"]
         assert keep.label == ""
+
+    def test_cancel_drops_the_action(self):
+        queue = EventQueue()
+        fired: list[str] = []
+        event = queue.push(1.0, lambda: fired.append("cancelled"))
+        event.cancel()
+        assert event.cancelled and event.action is None
+        assert queue.pop() is None
+        assert fired == []
+
+    def test_cancelled_event_does_not_keep_its_owner_alive(self):
+        """An owner holding its own cancellable event (as an operation handle
+        holds its timeout) is freed by reference counting once cancelled."""
+
+        class Owner:
+            pass
+
+        def make_owner(queue: EventQueue) -> Owner:
+            owner = Owner()
+            owner.timeout = queue.push(5.0, lambda: fired.append(owner))
+            return owner
+
+        fired: list[Owner] = []
+        queue = EventQueue()
+        owner = make_owner(queue)
+        owner.timeout.cancel()
+        alive = weakref.ref(owner)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del owner
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(queue) == 0
 
     def test_len_ignores_cancelled(self):
         queue = EventQueue()
@@ -250,6 +289,26 @@ class TestLiveCountAccounting:
         event.cancel()
         queue.push(1.0, lambda: None)
         assert len(queue) == 1
+
+    def test_clear_drops_raw_entries_of_every_arity(self):
+        queue = EventQueue()
+        fired: list[object] = []
+        event = queue.push(1.0, lambda: fired.append("event"))
+        queue.push_action(2.0, lambda: fired.append("action"))
+        queue.push_entry((3.0, queue.next_sequence(), fired.append, "one"))
+        queue.push_entry((4.0, queue.next_sequence(), lambda a, b: fired.append((a, b)), 1, 2))
+        queue.push_entry(
+            (5.0, queue.next_sequence(), lambda a, b, c: fired.append((a, b, c)), 1, 2, 3)
+        )
+        assert len(queue) == 5
+        queue.clear()
+        assert len(queue) == 0
+        assert queue.pop() is None
+        event.cancel()  # detached by clear(): must not touch the count
+        queue.push_entry((1.0, queue.next_sequence(), fired.append, "after"))
+        assert len(queue) == 1
+        queue.pop().action()
+        assert fired == ["after"]
 
     def test_peek_time_discards_cancelled_head_and_keeps_count(self):
         queue = EventQueue()

@@ -107,6 +107,42 @@ class TestNarrowApiEquivalence:
         _record_workload(objects)
         assert _log_tuples(columnar) == _log_tuples(objects)
 
+    @pytest.mark.parametrize("log_type", [ColumnarTraceLog, TraceLog], ids=["columnar", "object"])
+    def test_note_read_reply_matches_separate_calls(self, log_type):
+        replies = [
+            ("node-0", 41.0, Version(3, "c-0"), True),
+            ("node-2", 42.5, None, True),
+            ("node-1", 44.0, Version(1, "c-1"), False),
+            ("node-3", 47.0, None, False),
+        ]
+        combined, separate = log_type(), log_type()
+        for log in (combined, separate):
+            _record_workload(log)
+        ref_a = combined.begin_read(10, "alpha", "c-0", 40.0)
+        ref_b = separate.begin_read(10, "alpha", "c-0", 40.0)
+        for node, time_ms, version, in_quorum in replies:
+            combined.note_read_reply(ref_a, node, time_ms, version, in_quorum)
+            separate.note_read_response(ref_b, node, time_ms)
+            if in_quorum:
+                separate.note_read_quorum(ref_b, node, version)
+            else:
+                separate.note_read_late(ref_b, node, version)
+        assert _log_tuples(combined) == _log_tuples(separate)
+        if log_type is ColumnarTraceLog:
+            assert combined.string_table() == separate.string_table()
+
+    def test_note_read_reply_invalidates_cached_views(self):
+        log = ColumnarTraceLog()
+        ref = log.begin_read(0, "k", "c-0", 0.0)
+        log.note_read_reply(ref, "node-0", 1.0, Version(1, "c-0"), True)
+        view = log.read_view(ref)
+        assert view.response_arrivals_ms == {"node-0": 1.0}
+        assert view.late_responses == {}
+        log.note_read_reply(ref, "node-1", 2.0, Version(2, "c-0"), False)
+        assert view.response_arrivals_ms == {"node-0": 1.0, "node-1": 2.0}
+        assert view.quorum_responses == {"node-0": Version(1, "c-0")}
+        assert view.late_responses == {"node-1": Version(2, "c-0")}
+
     def test_view_scalars_are_python_types(self):
         log = ColumnarTraceLog()
         _record_workload(log)

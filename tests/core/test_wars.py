@@ -9,7 +9,7 @@ from repro.core.quorum import ReplicaConfig
 from repro.core.wars import WARSModel
 from repro.exceptions import ConfigurationError
 from repro.latency.distributions import ConstantLatency, ExponentialLatency
-from repro.latency.production import WARSDistributions, wan
+from repro.latency.production import WARSDistributions, wan, ymmr
 
 
 class TestDeterministicScenarios:
@@ -112,6 +112,54 @@ class TestStatisticalBehaviour:
     def test_reported_trials(self, exponential_wars):
         result = WARSModel(exponential_wars, ReplicaConfig(3, 1, 1)).sample(1_234, rng=0)
         assert result.trials == 1_234
+
+
+class TestBatchPercentiles:
+    """The batch percentile methods equal one scalar call per entry, bit for bit."""
+
+    PERCENTILES = [float(p) for p in range(1, 100)] + [0.0, 99.9, 100.0, 37.25]
+
+    @pytest.mark.parametrize(
+        "distributions, config",
+        [(ymmr(), ReplicaConfig(3, 1, 1)), (wan(replica_count=5), ReplicaConfig(5, 2, 3))],
+        ids=["ymmr-n3r1w1", "wan-n5r2w3"],
+    )
+    def test_read_percentiles_match_scalar_calls(self, distributions, config):
+        result = WARSModel(distributions, config).sample(20_000, rng=3)
+        batch = result.read_latency_percentiles(self.PERCENTILES)
+        assert batch == [result.read_latency_percentile(p) for p in self.PERCENTILES]
+
+    @pytest.mark.parametrize(
+        "distributions, config",
+        [(ymmr(), ReplicaConfig(3, 1, 1)), (wan(replica_count=5), ReplicaConfig(5, 2, 3))],
+        ids=["ymmr-n3r1w1", "wan-n5r2w3"],
+    )
+    def test_write_percentiles_match_scalar_calls(self, distributions, config):
+        result = WARSModel(distributions, config).sample(20_000, rng=3)
+        batch = result.write_latency_percentiles(self.PERCENTILES)
+        assert batch == [result.write_latency_percentile(p) for p in self.PERCENTILES]
+
+    def test_any_sequence_in_python_floats_out(self, exponential_wars, partial_config):
+        result = WARSModel(exponential_wars, partial_config).sample(5_000, rng=0)
+        expected = [result.read_latency_percentile(p) for p in (10.0, 50.0, 90.0)]
+        for percentiles in ((10, 50, 90), range(10, 100, 40), np.array([10.0, 50.0, 90.0])):
+            batch = result.read_latency_percentiles(percentiles)
+            assert batch == expected
+            assert all(type(value) is float for value in batch)
+
+    def test_empty_request_returns_empty_list(self, exponential_wars, partial_config):
+        result = WARSModel(exponential_wars, partial_config).sample(1_000, rng=0)
+        assert result.read_latency_percentiles([]) == []
+        assert result.write_latency_percentiles([]) == []
+
+    def test_out_of_range_percentile_rejected_like_scalar(self, exponential_wars, partial_config):
+        result = WARSModel(exponential_wars, partial_config).sample(1_000, rng=0)
+        with pytest.raises(ValueError):
+            result.read_latency_percentile(101.0)
+        with pytest.raises(ValueError):
+            result.read_latency_percentiles([50.0, 101.0])
+        with pytest.raises(ValueError):
+            result.write_latency_percentiles([-1.0])
 
 
 class TestValidationAndErrors:
