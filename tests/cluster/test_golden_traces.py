@@ -16,6 +16,17 @@ to be behaviour-preserving (a hot-path rewrite, a storage refactor, deleting
 an alternate engine) must leave every digest as it is.  The digests also
 depend on NumPy's generator streams: if a NumPy upgrade moves them, confirm
 that the unchanged parent commit moves identically before regenerating.
+
+Two more digest families widen the net:
+
+* ``PER_DRAW_DIGESTS`` — the same dump for ``draw_batch_size=1`` runs, which
+  make one numpy call per message;
+* ``ANALYSIS_DIGESTS`` — each cell's staleness observations (operation ids
+  rebased, keys as strings) and both operation-latency arrays.
+
+The scenario reports and the fast validation grid are digested in
+``tests/scenarios/test_scenarios.py`` and
+``tests/integration/test_integration.py``.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ import json
 
 import pytest
 
+from repro.analysis.staleness import observe_staleness_frame, operation_latencies
 from repro.cluster.client import WorkloadRunner
 from repro.cluster.store import DynamoCluster
 from repro.core.quorum import ReplicaConfig
@@ -65,6 +77,24 @@ GOLDEN_DIGESTS = {
     "crash-recover": "7960b5efff304c3d939c2fef3d2ccb187d6b5e663a75bca7bf40b2befba28e4e",
     "two-coordinators": "cda566dd6b69242f43d64466c7e36dac55f6cd455c4b9ad9aff9bd5d74fd3224",
     "gray-failure": "655d41cfb3b568a0fbc4399ae2d39d2e66771b9c2f0bed5687dd187b4015e534",
+}
+
+#: ``canonical_dump`` digests of ``draw_batch_size=1`` runs of four cells.
+PER_DRAW_DIGESTS = {
+    "baseline-seed0": "a9b1e6cab5923b8fb7d38e53731acaf5e140db725ff1be8128905f22dae3291c",
+    "loss-0.1": "66ad613384bd3be95b3aa3c84b7c8211656b0882190d4298bda9b307cc761e4a",
+    "crash-recover": "ff312e8d56a7144d01e0edd173d4858098ed0ad71f3ba7fc263c9ec10e01d6fb",
+    "two-coordinators": "6b035d9adaf008cc3636373f76a23d9e1a88be0be55f4efc8c922b7dc232f3df",
+}
+
+#: ``analysis_dump`` digests of every cell.
+ANALYSIS_DIGESTS = {
+    "baseline-seed0": "e6d43a934c8231f4dd04c3f3ced3b7f1b1d009c5b4a66476809bc05e12351f0a",
+    "baseline-seed1": "4adfdbafe99e8b73fadc6dc836aa47c1b85c07350c7786830f94120530e8de5c",
+    "loss-0.1": "1741cc75b00a9ae6e21c56fe510a57aefe311cc37b38cbd1a363933d06004723",
+    "crash-recover": "3094c2728a17faa8e75e3481bf911cbd8608eb6aaaad459b3b336fd9e9dc1b48",
+    "two-coordinators": "0da0a581a4adb589fe860b311a310c7681a04fc3c742c75c4c9ddb6d76db3893",
+    "gray-failure": "ed1e1cbaac13c882d40dcefd039d2f54bf0c4c601c8722ad29bfbd3b5e30af21",
 }
 
 
@@ -155,15 +185,80 @@ def canonical_dump(cluster: DynamoCluster) -> dict:
     return columns
 
 
-def digest(cluster: DynamoCluster) -> str:
-    """sha256 of :func:`canonical_dump` (floats serialise exactly via repr)."""
-    text = json.dumps(canonical_dump(cluster), sort_keys=True, separators=(",", ":"))
+def sha256_json(payload) -> str:
+    """sha256 of a canonical JSON text (floats serialise exactly via repr)."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest(cluster: DynamoCluster) -> str:
+    """sha256 of :func:`canonical_dump`."""
+    return sha256_json(canonical_dump(cluster))
+
+
+def analysis_dump(cluster: DynamoCluster) -> dict:
+    """The staleness observations and operation latencies of a run."""
+    log = cluster.trace_log
+    base = min(trace.operation_id for trace in [*log.writes, *log.reads])
+    reads, writes = operation_latencies(log)
+    return {
+        "observations": [
+            [obs.operation_id - base, obs.key, obs.t_since_commit_ms, obs.consistent,
+             obs.version_lag]
+            for obs in observe_staleness_frame(log).observations()
+        ],
+        "read_latencies": reads.tolist(),
+        "write_latencies": writes.tolist(),
+    }
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_golden_digest(name):
     assert digest(run_cell(name)) == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PER_DRAW_DIGESTS))
+def test_per_draw_golden_digest(name):
+    assert digest(run_cell(name, draw_batch_size=1)) == PER_DRAW_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_analysis_golden_digest(name):
+    assert sha256_json(analysis_dump(run_cell(name))) == ANALYSIS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("labels", [False, True], ids=["unlabelled", "labelled"])
+@pytest.mark.parametrize("name", sorted(PER_DRAW_DIGESTS))
+def test_reference_engine_reproduces_per_draw_cells(name, labels):
+    """The pinned reference engine records what the per-draw digests pin."""
+    per_draw = canonical_dump(run_cell(name, draw_batch_size=1))
+    reference = canonical_dump(run_cell(name, engine="reference", event_labels=labels))
+    assert digest(run_cell(name, draw_batch_size=1)) == PER_DRAW_DIGESTS[name]
+    # The reference engine counts no draws; events and drops must agree.
+    assert reference["counters"][:2] == [0, 0] and per_draw["counters"][0] > 0
+    assert per_draw.pop("counters")[2:] == reference.pop("counters")[2:]
+    assert per_draw == reference
+
+
+@pytest.mark.parametrize("trace_backend", ["columnar", "object"])
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_fenwick_oracle_reproduces_analysis_digests(name, trace_backend):
+    """The Fenwick pass on either trace log gives the pinned analysis dump."""
+    from repro.analysis.staleness import observe_staleness
+
+    log = run_cell(name, trace_backend=trace_backend).trace_log
+    base = min(trace.operation_id for trace in [*log.writes, *log.reads])
+    reads, writes = operation_latencies(log)
+    dump = {
+        "observations": [
+            [obs.operation_id - base, obs.key, obs.t_since_commit_ms, obs.consistent,
+             obs.version_lag]
+            for obs in observe_staleness(log, method="fenwick")
+        ],
+        "read_latencies": reads.tolist(),
+        "write_latencies": writes.tolist(),
+    }
+    assert sha256_json(dump) == ANALYSIS_DIGESTS[name]
 
 
 def test_event_labels_and_object_backend_reproduce_the_baseline():

@@ -7,6 +7,9 @@ closed-form and Monte Carlo predictions that consume the same latency model.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -174,6 +177,17 @@ class TestMultiKeyWorkloads:
         )
 
 
+#: sha256 of the rows of the fast 27-cell grid (60 writes per cell, seed 5,
+#: 3,000 prediction trials).  Any change to what the simulator records, how
+#: staleness and latency are measured from it, or the prediction moves it.
+FAST_GRID_DIGEST = "bd161c8fc93aac5cb4637f8a3e63e76b4fe289918526778ea6c333eaf599e3f8"
+
+
+def _rows_digest(rows) -> str:
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestValidationGridMatchesPerCellRuns:
     def test_grid_rows_reproduce_independent_cell_runs(self):
         """``run_validation_grid`` is exactly the per-cell ``run_validation``
@@ -238,6 +252,14 @@ class TestValidationGridMatchesPerCellRuns:
         )
         assert len(columnar.rows) == 27
         assert objects.rows == columnar.rows
+        assert _rows_digest(objects.rows) == FAST_GRID_DIGEST
+
+    def test_fast_grid_rows_match_golden_digest(self):
+        from repro.experiments.validation import run_validation_grid
+
+        rows = run_validation_grid(trials=60, rng=5, prediction_trials=3_000).rows
+        assert len(rows) == 27
+        assert _rows_digest(rows) == FAST_GRID_DIGEST
 
     @pytest.mark.slow
     def test_grid_matches_per_cell_runs_at_5k_writes(self):

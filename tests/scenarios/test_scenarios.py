@@ -13,6 +13,7 @@ Every registered scenario runs at 2k writes and must:
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 
 import numpy as np
@@ -60,6 +61,35 @@ CONFORMANCE_KWARGS = dict(
 def _conformance_run(name):
     """One serial conformance run per scenario, shared across the suite."""
     return run_scenario(name, workers=1, **CONFORMANCE_KWARGS)
+
+
+def _trace_digest(divergence) -> str:
+    """sha256 of the report fields derived from the simulated trace."""
+    payload = {
+        "observations": divergence.observations,
+        "dropped_messages": divergence.dropped_messages,
+        "bin_centers_ms": list(divergence.bin_centers_ms),
+        "measured_consistency": list(divergence.measured_consistency),
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: :func:`_trace_digest` of each pinned scenario's conformance run.  Any
+#: change to what the simulator records, or to how staleness is measured
+#: from it, moves these.
+TRACE_DIGESTS = {
+    "baseline": "43023806b804ee07a0ff5926f2b4ed83e4f536573b65ac6386f76464a8c3f655",
+    "zipfian-skew": "afc71c394be2d3d7d34e35eabfeb5d9c6d951e12e6c314f4ea93eb5fe80f5ace",
+    "partition": "a30d7524d49361aa448ffcff5162c3ab26b5bd741e1f95a6e427b67b872725e3",
+    "message-loss": "3c474a2be1f1c29a3b98667bc28ea599af4c7d783819bea4ebafd0e21446355f",
+    "wan-topology": "c58b3d3ad72e04f042f4f9f952902a699b291d4d45a9aab667fa52cb479d69df",
+    "anti-entropy": "40a4a17335a8df2a2eec3cabfc6544defbbd69e585283a82196b9cedc50dcd11",
+    "membership-churn": "6c46198b63d2a3bc7306861d9b0aa3814f1a985950495e166eb80af227c63895",
+    "crash-recovery": "6d7add6173a552dbffa901699c33586acc00b14c887ab5b6f2c875ace3a76034",
+    "gray-failure": "e97583d4e7f439afde4c7e314599e69970358c1f939603da609fcf49f051d624",
+    "correlated-bursts": "da2b9ced42b43a023fc17d0d385d9649078d381f8d43e78d9b9de8f0b28a665c",
+}
 
 
 class TestRegistry:
@@ -143,6 +173,10 @@ class TestConformance:
             name, workers=1, trace_backend="object", **CONFORMANCE_KWARGS
         )
         assert objects.to_dict() == _conformance_run(name).to_dict()
+        assert _trace_digest(objects) == TRACE_DIGESTS[name]
+
+    def test_trace_fields_match_golden_digest(self, name):
+        assert _trace_digest(_conformance_run(name)) == TRACE_DIGESTS[name]
 
     def test_report_is_schema_valid_and_json_safe(self, name):
         divergence = _conformance_run(name)
