@@ -1,7 +1,7 @@
 """Measuring staleness from cluster traces.
 
-These functions turn a :class:`~repro.cluster.tracing.TraceLog` into the
-quantities the paper reports:
+These functions turn a :class:`~repro.cluster.tracelog.ColumnarTraceLog`
+into the quantities the paper reports:
 
 * **t-visibility** — for every completed read, how long after the latest
   commit did it start, and did it observe that commit?  Binning those
@@ -15,7 +15,6 @@ quantities the paper reports:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +23,6 @@ import numpy as np
 from repro.analysis.statistics import BinnedSeries, binned_fraction
 from repro.analysis.windows import prefix_dominance_counts
 from repro.cluster.tracelog import _NO_VERSION, ColumnarTraceLog
-from repro.cluster.tracing import TraceLog
 from repro.exceptions import AnalysisError
 
 __all__ = [
@@ -92,200 +90,6 @@ class StalenessFrame:
         ]
 
 
-class _Fenwick:
-    """A Fenwick (binary-indexed) tree counting inserted version ranks."""
-
-    __slots__ = ("size", "tree")
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.tree = [0] * (size + 1)
-
-    def add(self, index: int) -> None:
-        """Count one occurrence of rank ``index`` (0-based)."""
-        tree = self.tree
-        position = index + 1
-        size = self.size
-        while position <= size:
-            tree[position] += 1
-            position += position & -position
-
-    def count_le(self, index: int) -> int:
-        """Number of inserted ranks ``<= index`` (0-based; -1 returns 0)."""
-        tree = self.tree
-        position = index + 1
-        total = 0
-        while position > 0:
-            total += tree[position]
-            position -= position & -position
-        return total
-
-
-class _KeyStalenessState:
-    """Per-key incremental state for :func:`observe_staleness`.
-
-    Holds the key's committed writes sorted by commit time plus a Fenwick
-    tree over version ranks, so processing reads in start-time order needs
-    only O(log W) per read instead of re-scanning (and re-sorting) every
-    committed write — the difference between minutes and milliseconds at the
-    paper's 50,000-writes-per-cell scale.
-    """
-
-    __slots__ = (
-        "commit_times",
-        "versions",
-        "sorted_versions",
-        "ranks",
-        "fenwick",
-        "cursor",
-        "inserted",
-        "max_version",
-        "max_version_commit_ms",
-    )
-
-    def __init__(self, committed: list) -> None:
-        # ``committed`` arrives sorted by committed_ms (TraceLog order).
-        self.commit_times = [write.committed_ms for write in committed]
-        self.versions = [write.version for write in committed]
-        self.sorted_versions = sorted(self.versions)
-        rank_of = {version: rank for rank, version in enumerate(self.sorted_versions)}
-        self.ranks = [rank_of[version] for version in self.versions]
-        self.fenwick = _Fenwick(len(committed))
-        self.cursor = 0
-        self.inserted = 0
-        self.max_version = None
-        self.max_version_commit_ms = 0.0
-
-    def advance_to(self, time_ms: float) -> None:
-        """Insert every write committed at or before ``time_ms``."""
-        cursor = self.cursor
-        commit_times = self.commit_times
-        total = len(commit_times)
-        while cursor < total and commit_times[cursor] <= time_ms:
-            version = self.versions[cursor]
-            if self.max_version is None or version > self.max_version:
-                self.max_version = version
-                self.max_version_commit_ms = commit_times[cursor]
-            self.fenwick.add(self.ranks[cursor])
-            cursor += 1
-        self.inserted = cursor
-        self.cursor = cursor
-
-    def lag_of(self, returned) -> int:
-        """Committed versions newer than ``returned`` among inserted writes."""
-        rank = bisect.bisect_right(self.sorted_versions, returned)
-        return self.inserted - self.fenwick.count_le(rank - 1)
-
-
-def observe_staleness(
-    trace_log: TraceLog | ColumnarTraceLog,
-    key: str | None = None,
-    method: str = "auto",
-) -> list[StalenessObservation]:
-    """Extract per-read staleness observations from a trace log.
-
-    Reads that start before any write commits are skipped (there is nothing to
-    be stale against).  Reads may return versions newer than the latest commit
-    at their start time (in-flight writes); the paper counts these as
-    consistent, and so do we.
-
-    ``method`` selects the implementation: ``"columnar"`` is the vectorized
-    per-key window pass over a :class:`~repro.cluster.tracelog.ColumnarTraceLog`
-    (searchsorted insertion counts, cumulative-max encoded versions, and a
-    dyadic merge tree for version lags); ``"fenwick"`` is the per-read
-    Fenwick-tree loop, kept as the exactness oracle, which accepts either
-    backend through the shared query surface.  ``"auto"`` (default) picks
-    columnar when the log is columnar and Fenwick otherwise.  Both produce
-    identical observation lists.
-    """
-    if method == "auto":
-        method = "columnar" if isinstance(trace_log, ColumnarTraceLog) else "fenwick"
-    if method == "columnar":
-        if not isinstance(trace_log, ColumnarTraceLog):
-            raise AnalysisError(
-                "the columnar staleness pass requires a ColumnarTraceLog; "
-                "use method='fenwick' (or convert) for object trace logs"
-            )
-        return _observe_staleness_columnar(trace_log, key)
-    if method != "fenwick":
-        raise AnalysisError(
-            f"unknown staleness method {method!r}; choose 'auto', 'columnar', or 'fenwick'"
-        )
-    return _observe_staleness_fenwick(trace_log, key)
-
-
-def _observe_staleness_fenwick(
-    trace_log: TraceLog | ColumnarTraceLog, key: str | None
-) -> list[StalenessObservation]:
-    """The per-read Fenwick-tree pass (O((R + W) log W) per key), the oracle."""
-    reads = trace_log.completed_reads(key)
-    if not reads:
-        return []
-    committed_by_key: dict[str, list] = {}
-    for write in trace_log.writes:
-        if write.committed and (key is None or write.key == key):
-            committed_by_key.setdefault(write.key, []).append(write)
-    for writes in committed_by_key.values():
-        writes.sort(key=lambda write: write.committed_ms)
-    states: dict[str, _KeyStalenessState] = {}
-
-    observations: list[StalenessObservation] = []
-    for read in reads:
-        state = states.get(read.key)
-        if state is None:
-            writes = committed_by_key.get(read.key)
-            if writes is None:
-                continue
-            state = states[read.key] = _KeyStalenessState(writes)
-        state.advance_to(read.started_ms)
-        if state.inserted == 0:
-            continue
-        latest_version = state.max_version
-        t_since_commit = read.started_ms - state.max_version_commit_ms
-        returned = read.returned_version
-        consistent = returned is not None and returned >= latest_version
-        if consistent:
-            lag = 0
-        elif returned is None:
-            lag = state.inserted
-        else:
-            lag = state.lag_of(returned)
-        observations.append(
-            StalenessObservation(
-                operation_id=read.operation_id,
-                key=read.key,
-                t_since_commit_ms=float(t_since_commit),
-                consistent=consistent,
-                version_lag=lag,
-            )
-        )
-    return observations
-
-
-def observe_staleness_frame(
-    trace_log: ColumnarTraceLog, key: str | None = None
-) -> StalenessFrame:
-    """Like :func:`observe_staleness`, but returns the columns themselves.
-
-    This is the all-array endpoint of the columnar pipeline: no per-read
-    Python objects are built, and the result feeds straight into the curve
-    functions.  Requires a :class:`~repro.cluster.tracelog.ColumnarTraceLog`.
-    """
-    if not isinstance(trace_log, ColumnarTraceLog):
-        raise AnalysisError(
-            "observe_staleness_frame requires a ColumnarTraceLog; "
-            "use observe_staleness(method='fenwick') for object trace logs"
-        )
-    return _observe_staleness_columnar_frame(trace_log, key)
-
-
-def _observe_staleness_columnar(
-    trace_log: ColumnarTraceLog, key: str | None
-) -> list[StalenessObservation]:
-    """The vectorized pass, materialised to the shared observation-list shape."""
-    return _observe_staleness_columnar_frame(trace_log, key).observations()
-
-
 def _empty_frame() -> StalenessFrame:
     return StalenessFrame(
         operation_ids=np.empty(0, dtype=np.int64),
@@ -297,10 +101,28 @@ def _empty_frame() -> StalenessFrame:
     )
 
 
-def _observe_staleness_columnar_frame(
-    trace_log: ColumnarTraceLog, key: str | None
+def observe_staleness(
+    trace_log: ColumnarTraceLog, key: str | None = None
+) -> list[StalenessObservation]:
+    """Extract per-read staleness observations from a trace log.
+
+    Reads that start before any write commits are skipped (there is nothing to
+    be stale against).  Reads may return versions newer than the latest commit
+    at their start time (in-flight writes); the paper counts these as
+    consistent, and so do we.  This is :func:`observe_staleness_frame` with
+    its rows materialised as :class:`StalenessObservation` objects.
+    """
+    return observe_staleness_frame(trace_log, key).observations()
+
+
+def observe_staleness_frame(
+    trace_log: ColumnarTraceLog, key: str | None = None
 ) -> StalenessFrame:
-    """Vectorized per-key window pass over the columnar trace log.
+    """Like :func:`observe_staleness`, but returns the columns themselves.
+
+    This is the all-array endpoint of the columnar pipeline: no per-read
+    Python objects are built, and the result feeds straight into the curve
+    functions.
 
     Versions are encoded as ``timestamp * modulus + writer_rank`` (writer
     ranks taken over the *sorted* string table), which replicates the
@@ -483,36 +305,21 @@ def k_staleness_fraction(
 
 
 def operation_latencies(
-    trace_log: TraceLog | ColumnarTraceLog,
+    trace_log: ColumnarTraceLog,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(read_latencies, write_latencies)`` in ms for completed operations.
 
-    On a columnar log this is a pure column pass (mask the NaN completion
-    sentinels, subtract the start column); on the object log it walks the
-    trace lists.  Both return latencies in record order.
+    A pure column pass: mask the NaN completion sentinels and subtract the
+    start column.  Latencies come back in record order.
     """
-    if isinstance(trace_log, ColumnarTraceLog):
-        read_columns = trace_log.read_columns()
-        completed = read_columns["completed_ms"]
-        read_mask = ~np.isnan(completed)
-        reads = completed[read_mask] - read_columns["started_ms"][read_mask]
-        write_columns = trace_log.write_columns()
-        committed = write_columns["committed_ms"]
-        write_mask = ~np.isnan(committed)
-        writes = committed[write_mask] - write_columns["started_ms"][write_mask]
-    else:
-        reads = np.array(
-            [trace.latency_ms for trace in trace_log.reads if trace.latency_ms is not None],
-            dtype=float,
-        )
-        writes = np.array(
-            [
-                trace.commit_latency_ms
-                for trace in trace_log.writes
-                if trace.commit_latency_ms is not None
-            ],
-            dtype=float,
-        )
+    read_columns = trace_log.read_columns()
+    completed = read_columns["completed_ms"]
+    read_mask = ~np.isnan(completed)
+    reads = completed[read_mask] - read_columns["started_ms"][read_mask]
+    write_columns = trace_log.write_columns()
+    committed = write_columns["committed_ms"]
+    write_mask = ~np.isnan(committed)
+    writes = committed[write_mask] - write_columns["started_ms"][write_mask]
     if reads.size == 0 and writes.size == 0:
         raise AnalysisError("trace log contains no completed operations")
     return reads, writes

@@ -128,7 +128,6 @@ class _ValidationBlockSpec:
     read_offsets_ms: tuple[float, ...]
     seed: np.random.SeedSequence
     draw_batch_size: int
-    trace_backend: str = "columnar"
 
 
 def _run_validation_block(
@@ -144,7 +143,6 @@ def _run_validation_block(
         distributions=spec.distributions,
         rng=np.random.default_rng(spec.seed),
         draw_batch_size=spec.draw_batch_size,
-        trace_backend=spec.trace_backend,
     )
     operations = validation_workload(
         key="validation-key",
@@ -194,7 +192,6 @@ def _measure_sharded(
     block_writes: int,
     draw_batch_size: int,
     workers: int,
-    trace_backend: str,
 ) -> tuple[list[StalenessObservation], np.ndarray, np.ndarray]:
     """Run the measured side as independent blocks, serially or on a pool."""
     sizes = _block_sizes(writes, block_writes)
@@ -208,7 +205,6 @@ def _measure_sharded(
             read_offsets_ms=tuple(read_offsets_ms),
             seed=seed,
             draw_batch_size=draw_batch_size,
-            trace_backend=trace_backend,
         )
         for size, seed in zip(sizes, seeds)
     ]
@@ -252,7 +248,6 @@ def run_validation(
     workers: int | None = None,
     block_writes: int | None = None,
     draw_batch_size: int = DEFAULT_DRAW_BATCH_SIZE,
-    trace_backend: str = "columnar",
 ) -> ValidationResult:
     """Run the §5.2 validation experiment for one configuration.
 
@@ -271,9 +266,6 @@ def run_validation(
         block_writes: Override the block size (implies the blocked path).
         draw_batch_size: Network draw-buffer size for the cluster(s);
             ``1`` reproduces the legacy per-message sampling stream.
-        trace_backend: ``"columnar"`` (default) or ``"object"`` trace storage
-            for the cluster(s); both yield identical results — the object
-            backend is the equivalence oracle the conformance tests pin.
     """
     if writes < 10:
         raise AnalysisError(f"at least 10 writes are required for validation, got {writes}")
@@ -298,7 +290,6 @@ def run_validation(
             block_writes=block_writes or VALIDATION_BLOCK_WRITES,
             draw_batch_size=draw_batch_size,
             workers=workers or 1,
-            trace_backend=trace_backend,
         )
         predictor_rng = np.random.default_rng(predictor_seed)
     else:
@@ -308,7 +299,6 @@ def run_validation(
             distributions=distributions,
             rng=generator,
             draw_batch_size=draw_batch_size,
-            trace_backend=trace_backend,
         )
         operations = validation_workload(
             key="validation-key",

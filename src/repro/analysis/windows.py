@@ -4,8 +4,8 @@ The columnar staleness pass (:func:`repro.analysis.staleness.observe_staleness`)
 needs one non-trivial primitive: for each read it must count how many of the
 writes committed *before the read started* (a prefix of the commit-ordered
 version column) carry versions no newer than the version the read returned
-(a per-read threshold).  Done naively that is an O(W) scan per read — the
-very cost the Fenwick-tree oracle exists to avoid, but the Fenwick tree is an
+(a per-read threshold).  Done naively that is an O(W) scan per read.  A
+Fenwick tree over version ranks avoids the scan, but walking it is an
 inherently serial Python loop.
 
 :func:`prefix_dominance_counts` answers all reads at once with a dyadic

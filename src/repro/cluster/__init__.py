@@ -31,7 +31,6 @@ from repro.cluster.tracelog import (
     ColumnarTraceLog,
     ColumnarWriteTrace,
 )
-from repro.cluster.tracing import ReadTrace, TraceLog, WriteTrace
 from repro.cluster.versioning import (
     Causality,
     LamportClock,
@@ -69,9 +68,6 @@ __all__ = [
     "ColumnarReadTrace",
     "ColumnarTraceLog",
     "ColumnarWriteTrace",
-    "ReadTrace",
-    "TraceLog",
-    "WriteTrace",
     "Causality",
     "LamportClock",
     "VectorClock",

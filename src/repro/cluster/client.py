@@ -103,8 +103,8 @@ class WorkloadRunner:
     """Schedules a generated operation stream onto a cluster and runs it.
 
     The runner is fire-and-forget: every operation's trace is recorded in the
-    cluster's :class:`~repro.cluster.tracing.TraceLog`, which the analysis
-    package consumes afterwards.
+    cluster's :class:`~repro.cluster.tracelog.ColumnarTraceLog`, which the
+    analysis package consumes afterwards.
     """
 
     cluster: DynamoCluster

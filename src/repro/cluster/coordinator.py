@@ -27,7 +27,7 @@ from repro.cluster.messages import next_operation_id
 from repro.cluster.network import Network
 from repro.cluster.node import StorageNode
 from repro.cluster.simulator import Simulator
-from repro.cluster.tracing import ReadTrace, TraceLog, WriteTrace
+from repro.cluster.tracelog import ColumnarReadTrace, ColumnarTraceLog, ColumnarWriteTrace
 from repro.cluster.versioning import LamportClock, VectorClock, VersionedValue, Version
 from repro.core.quorum import ReplicaConfig
 from repro.exceptions import SimulationError
@@ -38,10 +38,8 @@ __all__ = ["Coordinator", "WriteHandle", "ReadHandle"]
 class WriteHandle:
     """Client-visible handle for an in-flight write.
 
-    Holds the trace log and the write's row reference rather than a trace
-    object; :attr:`trace` materialises the familiar ``WriteTrace`` surface on
-    demand (on the object backend the reference *is* the trace, so this is
-    free).
+    Holds the trace log and the write's row number rather than a trace
+    object; :attr:`trace` builds a lazy row view on demand.
     """
 
     __slots__ = (
@@ -58,14 +56,13 @@ class WriteHandle:
 
     def __init__(
         self,
-        log: TraceLog,
-        ref: object,
+        log: ColumnarTraceLog,
+        ref: int,
         payload: VersionedValue,
-        on_complete: Optional[Callable[[WriteTrace], None]] = None,
+        on_complete: Optional[Callable[[ColumnarWriteTrace], None]] = None,
     ) -> None:
         self._log = log
-        #: Trace reference (row id on the columnar backend, the trace itself
-        #: on the object backend).
+        #: The write's row in the trace log.
         self.ref = ref
         self.payload = payload
         self.acks_received = 0
@@ -78,15 +75,15 @@ class WriteHandle:
         self._timeout_event: object = None
 
     @property
-    def trace(self) -> WriteTrace:
-        """The write's trace (a lazy row view on the columnar backend)."""
+    def trace(self) -> ColumnarWriteTrace:
+        """The write's trace, as a lazy row view."""
         return self._log.write_view(self.ref)
 
 
 class ReadHandle:
     """Client-visible handle for an in-flight read.
 
-    Like :class:`WriteHandle`, carries (log, reference) instead of a trace
+    Like :class:`WriteHandle`, carries (log, row) instead of a trace
     object; quorum membership and the newest-version selection are tracked
     incrementally on the handle so the hot path never inspects trace state.
     """
@@ -106,14 +103,13 @@ class ReadHandle:
 
     def __init__(
         self,
-        log: TraceLog,
-        ref: object,
+        log: ColumnarTraceLog,
+        ref: int,
         expected_responses: int,
-        on_complete: Optional[Callable[[ReadTrace], None]] = None,
+        on_complete: Optional[Callable[[ColumnarReadTrace], None]] = None,
     ) -> None:
         self._log = log
-        #: Trace reference (row id on the columnar backend, the trace itself
-        #: on the object backend).
+        #: The read's row in the trace log.
         self.ref = ref
         self.expected_responses = expected_responses
         self.responses: dict[str, Optional[VersionedValue]] = {}
@@ -126,8 +122,8 @@ class ReadHandle:
         self._timeout_event: object = None
 
     @property
-    def trace(self) -> ReadTrace:
-        """The read's trace (a lazy row view on the columnar backend)."""
+    def trace(self) -> ColumnarReadTrace:
+        """The read's trace, as a lazy row view."""
         return self._log.read_view(self.ref)
 
     @property
@@ -146,13 +142,12 @@ class Coordinator:
         membership: Membership,
         network: Network,
         config: ReplicaConfig,
-        trace_log: TraceLog,
+        trace_log: ColumnarTraceLog,
         read_repair: bool = False,
         hinted_handoff: bool = False,
         sloppy_quorum: bool = False,
         timeout_ms: float = 60_000.0,
         read_fanout_all: bool = True,
-        event_labels: bool = False,
     ) -> None:
         if timeout_ms <= 0:
             raise SimulationError(f"operation timeout must be positive, got {timeout_ms}")
@@ -177,8 +172,7 @@ class Coordinator:
         self._w = config.w
         self._trace_log = trace_log
         # Bound narrow-API methods: recording happens with scalars through
-        # one pre-bound call per lifecycle step, identically on the object
-        # and columnar backends.
+        # one pre-bound call per lifecycle step.
         self._begin_write = trace_log.begin_write
         self._note_write_arrival = trace_log.note_write_arrival
         self._note_write_ack = trace_log.note_write_ack
@@ -204,11 +198,6 @@ class Coordinator:
         # Dynamo sends reads to all N replicas; Voldemort sends to only R
         # (§2.3).  Staleness is unaffected but load and late responses differ.
         self._read_fanout_all = read_fanout_all
-        # Event labels are debugging sugar: building the per-message f-strings
-        # costs an allocation on every hot-path event, so untraced runs skip
-        # them entirely (the trace *log* — the measurement instrument — is
-        # unaffected; only event-queue labels are gated).
-        self._event_labels = event_labels
         self._lamport = LamportClock()
         self._clock_vector = VectorClock()
         self.repairs_sent = 0
@@ -235,7 +224,7 @@ class Coordinator:
         self,
         key: str,
         value: object,
-        on_complete: Optional[Callable[[WriteTrace], None]] = None,
+        on_complete: Optional[Callable[[ColumnarWriteTrace], None]] = None,
     ) -> WriteHandle:
         """Issue a write: forward to all N replicas, commit after W acknowledgements."""
         now = self._clock.now_ms
@@ -253,45 +242,26 @@ class Coordinator:
         ref = self._begin_write(operation_id, key, version, self.coordinator_id, now)
         handle = WriteHandle(self._trace_log, ref, payload, on_complete=on_complete)
 
-        replicas = self._preference(key)
-        if self._event_labels:
-            for replica in replicas:
-                self._send_write(replica, handle)
-        else:
-            # Inlined _send_write: locals bound once, delivery checked only
-            # when loss or partitions are actually configured (delivery state
-            # can only change between events, never inside this send loop).
-            network = self._network
-            push = self._push
-            sequence = self._next_sequence
-            draws = self._write_draws
-            deliver = self._deliver_write
-            lossy = network.may_drop
-            for replica in replicas:
-                node_id = replica.node_id
-                if lossy and not network.delivers(self.coordinator_id, node_id):
-                    self._note_write_drop(ref, node_id)
-                    continue
-                push((now + draws[node_id](), sequence(), deliver, replica, handle))
+        # Locals bound once; delivery is checked only when loss or
+        # partitions are actually configured (delivery state can only change
+        # between events, never inside this send loop).
+        network = self._network
+        push = self._push
+        sequence = self._next_sequence
+        draws = self._write_draws
+        deliver = self._deliver_write
+        lossy = network.may_drop
+        for replica in self._preference(key):
+            node_id = replica.node_id
+            if lossy and not network.delivers(self.coordinator_id, node_id):
+                self._note_write_drop(ref, node_id)
+                continue
+            push((now + draws[node_id](), sequence(), deliver, replica, handle))
 
         handle._timeout_event = self._simulator.schedule(
-            self._timeout_ms,
-            lambda: self._write_timeout(handle),
-            label=f"write-timeout:{operation_id}" if self._event_labels else "",
+            self._timeout_ms, lambda: self._write_timeout(handle)
         )
         return handle
-
-    def _send_write(self, replica: StorageNode, handle: WriteHandle) -> None:
-        """Send the write message for one replica (the W leg), with an event label."""
-        if not self._network.delivers(self.coordinator_id, replica.node_id):
-            self._note_write_drop(handle.ref, replica.node_id)
-            return
-        delay = self._network.write_delay(replica.node_id)
-        self._simulator.schedule(
-            delay,
-            lambda: self._deliver_write(replica, handle),
-            label=f"write-deliver:{handle.trace.operation_id}:{replica.node_id}",
-        )
 
     def _deliver_write(self, replica: StorageNode, handle: WriteHandle) -> None:
         """The write message arrives at a replica; apply it and send the ack (A leg)."""
@@ -310,16 +280,9 @@ class Coordinator:
         if network.may_drop and not network.delivers(node_id, self.coordinator_id):
             return
         ack_delay = self._ack_draws[node_id]()
-        if self._event_labels:
-            self._simulator.schedule(
-                ack_delay,
-                lambda: self._receive_ack(node_id, handle),
-                label=f"write-ack:{handle.trace.operation_id}:{node_id}",
-            )
-        else:
-            self._push(
-                (now + ack_delay, self._next_sequence(), self._receive_ack, node_id, handle)
-            )
+        self._push(
+            (now + ack_delay, self._next_sequence(), self._receive_ack, node_id, handle)
+        )
 
     def _receive_ack(self, replica_id: str, handle: WriteHandle) -> None:
         """An acknowledgement reaches the coordinator; commit at the W-th one."""
@@ -378,23 +341,16 @@ class Coordinator:
         if not self._network.delivers(self.coordinator_id, fallback.node_id):
             return
         delay = self._write_draws[fallback.node_id]()
-        if self._event_labels:
-            self._simulator.schedule(
-                delay,
-                lambda: self._deliver_sloppy_write(fallback, failed_replica, handle),
-                label=f"sloppy-write:{handle.trace.operation_id}:{fallback.node_id}",
+        self._push(
+            (
+                self._clock.now_ms + delay,
+                self._next_sequence(),
+                self._deliver_sloppy_write,
+                fallback,
+                failed_replica,
+                handle,
             )
-        else:
-            self._push(
-                (
-                    self._clock.now_ms + delay,
-                    self._next_sequence(),
-                    self._deliver_sloppy_write,
-                    fallback,
-                    failed_replica,
-                    handle,
-                )
-            )
+        )
 
     def _deliver_sloppy_write(
         self, fallback: StorageNode, intended: StorageNode, handle: WriteHandle
@@ -412,22 +368,9 @@ class Coordinator:
         if not self._network.delivers(fallback.node_id, self.coordinator_id):
             return
         ack_delay = self._ack_draws[fallback.node_id]()
-        if self._event_labels:
-            self._simulator.schedule(
-                ack_delay,
-                lambda: self._receive_ack(fallback.node_id, handle),
-                label=f"sloppy-ack:{handle.trace.operation_id}:{fallback.node_id}",
-            )
-        else:
-            self._push(
-                (
-                    now + ack_delay,
-                    self._next_sequence(),
-                    self._receive_ack,
-                    fallback.node_id,
-                    handle,
-                )
-            )
+        self._push(
+            (now + ack_delay, self._next_sequence(), self._receive_ack, fallback.node_id, handle)
+        )
 
     # ------------------------------------------------------------------
     # Hinted handoff.
@@ -445,16 +388,9 @@ class Coordinator:
         replayed = 0
         for payload in hints:
             delay = self._network.write_delay(replica.node_id)
-            if self._event_labels:
-                self._simulator.schedule(
-                    delay,
-                    lambda p=payload: replica.apply_write(p, self._clock.now_ms),
-                    label=f"hint-replay:{replica.node_id}",
-                )
-            else:
-                self._simulator.schedule_action(
-                    delay, lambda p=payload: replica.apply_write(p, self._clock.now_ms)
-                )
+            self._simulator.schedule_action(
+                delay, lambda p=payload: replica.apply_write(p, self._clock.now_ms)
+            )
             replayed += 1
         self.hints_replayed += replayed
         return replayed
@@ -470,7 +406,7 @@ class Coordinator:
     def read(
         self,
         key: str,
-        on_complete: Optional[Callable[[ReadTrace], None]] = None,
+        on_complete: Optional[Callable[[ColumnarReadTrace], None]] = None,
     ) -> ReadHandle:
         """Issue a read: forward to replicas, return the newest of the first R responses."""
         now = self._clock.now_ms
@@ -481,42 +417,24 @@ class Coordinator:
             replicas = replicas[: self._r]
         handle = ReadHandle(self._trace_log, ref, len(replicas), on_complete=on_complete)
 
-        if self._event_labels:
-            for replica in replicas:
-                self._send_read(replica, key, handle)
-        else:
-            # Inlined _send_read (see write() above for the rationale).
-            network = self._network
-            push = self._push
-            sequence = self._next_sequence
-            draws = self._read_draws
-            deliver = self._deliver_read
-            lossy = network.may_drop
-            for replica in replicas:
-                node_id = replica.node_id
-                if lossy and not network.delivers(self.coordinator_id, node_id):
-                    handle.expected_responses -= 1
-                    continue
-                push((now + draws[node_id](), sequence(), deliver, replica, key, handle))
+        # See write() above for the local bindings and the lossy check.
+        network = self._network
+        push = self._push
+        sequence = self._next_sequence
+        draws = self._read_draws
+        deliver = self._deliver_read
+        lossy = network.may_drop
+        for replica in replicas:
+            node_id = replica.node_id
+            if lossy and not network.delivers(self.coordinator_id, node_id):
+                handle.expected_responses -= 1
+                continue
+            push((now + draws[node_id](), sequence(), deliver, replica, key, handle))
 
         handle._timeout_event = self._simulator.schedule(
-            self._timeout_ms,
-            lambda: self._read_timeout(handle),
-            label=f"read-timeout:{operation_id}" if self._event_labels else "",
+            self._timeout_ms, lambda: self._read_timeout(handle)
         )
         return handle
-
-    def _send_read(self, replica: StorageNode, key: str, handle: ReadHandle) -> None:
-        """Send the read request for one replica (the R leg), with an event label."""
-        if not self._network.delivers(self.coordinator_id, replica.node_id):
-            handle.expected_responses -= 1
-            return
-        delay = self._network.read_delay(replica.node_id)
-        self._simulator.schedule(
-            delay,
-            lambda: self._deliver_read(replica, key, handle),
-            label=f"read-deliver:{handle.trace.operation_id}:{replica.node_id}",
-        )
 
     def _deliver_read(self, replica: StorageNode, key: str, handle: ReadHandle) -> None:
         """The read request arrives at a replica; send back its current version (S leg)."""
@@ -536,23 +454,16 @@ class Coordinator:
                 self._maybe_run_read_repair(handle)
             return
         delay = self._response_draws[node_id]()
-        if self._event_labels:
-            self._simulator.schedule(
-                delay,
-                lambda: self._receive_response(node_id, payload, handle),
-                label=f"read-response:{handle.trace.operation_id}:{node_id}",
+        self._push(
+            (
+                self._clock.now_ms + delay,
+                self._next_sequence(),
+                self._receive_response,
+                node_id,
+                payload,
+                handle,
             )
-        else:
-            self._push(
-                (
-                    self._clock.now_ms + delay,
-                    self._next_sequence(),
-                    self._receive_response,
-                    node_id,
-                    payload,
-                    handle,
-                )
-            )
+        )
 
     def _receive_response(
         self,
@@ -627,16 +538,8 @@ class Coordinator:
                 continue
             replica = self._membership.node(replica_id)
             delay = self._network.write_delay(replica_id)
-            if self._event_labels:
-                self._simulator.schedule(
-                    delay,
-                    lambda r=replica, p=newest: r.apply_write(p, self._clock.now_ms),
-                    label=f"read-repair:{handle.trace.operation_id}:{replica_id}",
-                )
-            else:
-                self._simulator.schedule_action(
-                    delay,
-                    lambda r=replica, p=newest: r.apply_write(p, self._clock.now_ms),
-                )
+            self._simulator.schedule_action(
+                delay, lambda r=replica, p=newest: r.apply_write(p, self._clock.now_ms)
+            )
             self._note_read_repair(handle.ref)
             self.repairs_sent += 1

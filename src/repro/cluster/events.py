@@ -46,9 +46,9 @@ class Event:
         Zero-argument callable invoked when the event fires; ``None`` once
         the event is cancelled.
     label:
-        Optional human-readable tag used in error messages and traces.  Hot
-        paths leave it empty (see ``event_labels`` on the cluster) so untraced
-        runs allocate no per-event strings.
+        Optional human-readable tag shown in the event's ``repr``.  Failure
+        injection and anti-entropy label their events; message deliveries are
+        raw heap entries and carry no label.
     cancelled:
         Cancelled events remain in the heap but are skipped when popped.
     """

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cluster.tracing import ReadTrace, TraceLog
+from repro.cluster.tracelog import ColumnarReadTrace, ColumnarTraceLog
 from repro.cluster.versioning import Version
 
 __all__ = ["StalenessSignal", "StalenessDetector"]
@@ -41,10 +41,10 @@ class StalenessSignal:
 class StalenessDetector:
     """Evaluates completed reads against their late responses and the commit order."""
 
-    trace_log: TraceLog
+    trace_log: ColumnarTraceLog
     signals: list[StalenessSignal] = field(default_factory=list)
 
-    def inspect(self, read: ReadTrace) -> StalenessSignal:
+    def inspect(self, read: ColumnarReadTrace) -> StalenessSignal:
         """Evaluate one completed read and record the resulting signal."""
         newest_late: Optional[Version] = None
         for version in read.late_responses.values():

@@ -32,7 +32,6 @@ from repro.cluster.sampling import DEFAULT_DRAW_BATCH_SIZE
 from repro.cluster.simulator import Simulator
 from repro.cluster.staleness_detector import StalenessDetector
 from repro.cluster.tracelog import ColumnarTraceLog
-from repro.cluster.tracing import TraceLog
 from repro.core.quorum import ReplicaConfig
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.faults.plan import FaultPlan
@@ -67,34 +66,15 @@ class DynamoCluster:
         sends to only R (Voldemort, §2.3).
     loss_probability:
         Independent per-message drop probability.
-    engine:
-        ``"batched"`` (default) uses the overhauled hot path (tuple-heap
-        events, batched draw buffers); ``"reference"`` uses the pinned
-        pre-overhaul engine
-        (:mod:`repro.cluster.reference`) — same protocol, same determinism
-        guarantees, original per-message costs — which benchmarks use as
-        their baseline.
     draw_batch_size:
         Message latencies drawn per network-buffer refill (see
         :mod:`repro.cluster.sampling`); ``1`` reproduces the legacy
-        one-numpy-call-per-message seed stream.  Ignored by the reference
-        engine, which always draws per message.
-    event_labels:
-        Attach human-readable labels to every scheduled event.  Off by
-        default: labels are debugging sugar and cost an f-string per message
-        on the hot path.
-    trace_backend:
-        ``"columnar"`` (default) records traces into the struct-of-arrays
-        :class:`~repro.cluster.tracelog.ColumnarTraceLog`; ``"object"`` keeps
-        the per-operation dataclass :class:`~repro.cluster.tracing.TraceLog`.
-        Both backends produce identical analysis results — the object log is
-        retained as the equivalence oracle.
+        one-numpy-call-per-message seed stream.
     fault_plan:
         Optional :class:`~repro.faults.plan.FaultPlan` injecting gray
         failures and correlated latency bursts by modulating network delay
         draws (see :mod:`repro.faults`).  Draw accounting is unchanged, so
-        sharded runs stay bit-for-bit deterministic.  Not supported by the
-        pinned reference engine.
+        sharded runs stay bit-for-bit deterministic.
     rng:
         Seed or generator controlling every random choice in the simulation.
     """
@@ -112,10 +92,7 @@ class DynamoCluster:
         loss_probability: float = 0.0,
         timeout_ms: float = 60_000.0,
         virtual_nodes: int = 64,
-        engine: str = "batched",
         draw_batch_size: int = DEFAULT_DRAW_BATCH_SIZE,
-        event_labels: bool = False,
-        trace_backend: str = "columnar",
         fault_plan: FaultPlan | None = None,
         rng: np.random.Generator | int | None = None,
     ) -> None:
@@ -130,49 +107,21 @@ class DynamoCluster:
                 f"coordinator count must be >= 1, got {coordinator_count}"
             )
 
-        if engine not in ("batched", "reference"):
-            raise ConfigurationError(
-                f"unknown simulation engine {engine!r}; choose 'batched' or 'reference'"
-            )
-        if trace_backend not in ("columnar", "object"):
-            raise ConfigurationError(
-                f"unknown trace backend {trace_backend!r}; choose 'columnar' or 'object'"
-            )
-        if fault_plan is not None and engine == "reference":
-            raise ConfigurationError(
-                "the pinned reference engine does not support fault plans; "
-                "use engine='batched'"
-            )
         self.config = config
         self.distributions = distributions
-        self.engine = engine
-        self.trace_backend = trace_backend
-        if engine == "reference":
-            from repro.cluster.reference import ReferenceNetwork, ReferenceSimulator
-
-            self.simulator = ReferenceSimulator(rng=rng)
-            network_cls = ReferenceNetwork
-        else:
-            self.simulator = Simulator(rng=rng)
-            network_cls = Network
+        self.simulator = Simulator(rng=rng)
         node_ids = [f"node-{index}" for index in range(node_count)]
         self.membership = Membership(node_ids, virtual_nodes=virtual_nodes)
-        replica_slots = {node_id: index for index, node_id in enumerate(node_ids)}
-        network_kwargs: dict = dict(
+        self.network = Network(
             distributions=distributions,
             rng=self.simulator.rng,
-            replica_slots=replica_slots,
+            replica_slots={node_id: index for index, node_id in enumerate(node_ids)},
             loss_probability=loss_probability,
             draw_batch_size=draw_batch_size,
+            fault_plan=fault_plan,
+            clock=self.simulator.clock,
         )
-        if fault_plan is not None:
-            # The runtime reads simulated time through the shared clock
-            # object; the reference engine (no clock of this shape) is
-            # rejected above.
-            network_kwargs.update(fault_plan=fault_plan, clock=self.simulator.clock)
-        self.network = network_cls(**network_kwargs)
-        self._event_labels = event_labels
-        self.trace_log = ColumnarTraceLog() if trace_backend == "columnar" else TraceLog()
+        self.trace_log = ColumnarTraceLog()
         self.coordinators = [
             Coordinator(
                 coordinator_id=f"coordinator-{index}",
@@ -186,7 +135,6 @@ class DynamoCluster:
                 sloppy_quorum=sloppy_quorum,
                 timeout_ms=timeout_ms,
                 read_fanout_all=read_fanout_all,
-                event_labels=event_labels,
             )
             for index in range(coordinator_count)
         ]
@@ -273,36 +221,26 @@ class DynamoCluster:
     ) -> None:
         """Enqueue a write to start at simulated time ``at_ms``; its trace is recorded."""
         chosen = self._pick_coordinator(coordinator)
-        if self._event_labels:
-            self.simulator.schedule_at(
-                at_ms, lambda: chosen.write(key, value), label=f"scheduled-write:{key}"
+        if at_ms < self.simulator.clock.now_ms:
+            raise SimulationError(
+                f"cannot schedule an event in the past "
+                f"(now={self.simulator.clock.now_ms}, at={at_ms})"
             )
-        else:
-            if at_ms < self.simulator.clock.now_ms:
-                raise SimulationError(
-                    f"cannot schedule an event in the past "
-                    f"(now={self.simulator.clock.now_ms}, at={at_ms})"
-                )
-            queue = self.simulator.queue
-            queue.push_entry((float(at_ms), queue.next_sequence(), chosen.write, key, value))
+        queue = self.simulator.queue
+        queue.push_entry((float(at_ms), queue.next_sequence(), chosen.write, key, value))
 
     def schedule_read(
         self, key: str, at_ms: float, coordinator: Coordinator | None = None
     ) -> None:
         """Enqueue a read to start at simulated time ``at_ms``; its trace is recorded."""
         chosen = self._pick_coordinator(coordinator)
-        if self._event_labels:
-            self.simulator.schedule_at(
-                at_ms, lambda: chosen.read(key), label=f"scheduled-read:{key}"
+        if at_ms < self.simulator.clock.now_ms:
+            raise SimulationError(
+                f"cannot schedule an event in the past "
+                f"(now={self.simulator.clock.now_ms}, at={at_ms})"
             )
-        else:
-            if at_ms < self.simulator.clock.now_ms:
-                raise SimulationError(
-                    f"cannot schedule an event in the past "
-                    f"(now={self.simulator.clock.now_ms}, at={at_ms})"
-                )
-            queue = self.simulator.queue
-            queue.push_entry((float(at_ms), queue.next_sequence(), chosen.read, key))
+        queue = self.simulator.queue
+        queue.push_entry((float(at_ms), queue.next_sequence(), chosen.read, key))
 
     def run(self, until_ms: float | None = None) -> None:
         """Drain the event queue (optionally up to a simulated-time horizon)."""

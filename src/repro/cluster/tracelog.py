@@ -1,11 +1,16 @@
-"""Struct-of-arrays trace storage: the columnar twin of :mod:`repro.cluster.tracing`.
+"""Per-operation trace records, stored as columns.
 
-The object ``TraceLog`` spends a dataclass, two dicts, and a set on every
-operation; at 10^5+ writes per validation cell that is per-event allocator and
-GC churn the analysis layer then has to undo (re-sorting, re-grouping) before
-it can answer a single staleness query.  ``ColumnarTraceLog`` stores the same
-information as columns — plain Python lists while recording, numpy arrays
-when analysed:
+The validation methodology of §5.2 hinges on instrumenting the store: every
+write records when each replica received it and when it committed, and every
+read records which replicas answered among the first ``R`` and which version
+was returned.  These traces are what the analysis package consumes to measure
+empirical t-visibility, k-staleness, and the WARS latency components.
+
+A dataclass per operation would cost a few dicts and a set per write; at
+10^5+ writes per validation cell that is allocator and GC churn the analysis
+layer would then have to undo (re-sorting, re-grouping) before it could
+answer a single staleness query.  ``ColumnarTraceLog`` stores the traces as
+columns — plain Python lists while recording, numpy arrays when analysed:
 
 * one row per write / read with scalar columns (``started_ms``,
   ``committed_ms``, interned key/coordinator ids, version timestamp + writer
@@ -15,11 +20,10 @@ when analysed:
   triplets for quorum/late read responses and ``(row, node)`` pairs for drops.
 
 Recording happens through a narrow scalar API (``begin_write`` /
-``note_write_*`` / ``begin_read`` / ``note_read_*``) shared with the object
-backend, so the coordinator never builds per-operation containers.  The
-familiar ``WriteTrace``/``ReadTrace`` attribute surface survives as lazy row
-views (:class:`ColumnarWriteTrace` / :class:`ColumnarReadTrace`) materialised
-only when somebody asks.
+``note_write_*`` / ``begin_read`` / ``note_read_*``), so the coordinator never
+builds per-operation containers.  Per-operation attribute access goes through
+lazy row views (:class:`ColumnarWriteTrace` / :class:`ColumnarReadTrace`)
+materialised only when somebody asks.
 
 ``ColumnarTraceLog.merge`` concatenates logs column-wise in block order —
 the same contract the sharded sweep engine relies on everywhere else — so a
@@ -33,7 +37,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.tracing import ReadTrace, TraceLog, WriteTrace
 from repro.cluster.versioning import Version
 
 __all__ = [
@@ -128,7 +131,7 @@ class _RowIndex:
 
 
 class ColumnarWriteTrace:
-    """Lazy row view over a :class:`ColumnarTraceLog` write, WriteTrace-shaped."""
+    """Lazy row view over one :class:`ColumnarTraceLog` write."""
 
     __slots__ = ("_log", "_row")
 
@@ -214,7 +217,7 @@ class ColumnarWriteTrace:
 
 
 class ColumnarReadTrace:
-    """Lazy row view over a :class:`ColumnarTraceLog` read, ReadTrace-shaped."""
+    """Lazy row view over one :class:`ColumnarTraceLog` read."""
 
     __slots__ = ("_log", "_row")
 
@@ -297,11 +300,11 @@ class ColumnarReadTrace:
 
 
 class ColumnarTraceLog:
-    """Struct-of-arrays trace store with the same query surface as ``TraceLog``.
+    """Struct-of-arrays trace store for one cluster run.
 
     The recording API is narrow and scalar-only: each call appends interned
     ids and scalars to plain Python lists (C-speed ``append``, no per-scalar
-    numpy boxing).  Views and queries reconstruct the object shapes lazily;
+    numpy boxing).  Views and queries build ``Version`` objects and dicts lazily;
     the analysis layer sees numpy through cached column arrays.  Every
     recording call bumps one mutation counter, which invalidates the cached
     arrays and query indexes together, so a 50k-write analysis pass converts
@@ -391,7 +394,7 @@ class ColumnarTraceLog:
         self._mutations += 1
 
     def write_view(self, ref: int) -> ColumnarWriteTrace:
-        """A lazy ``WriteTrace``-shaped view of a write row."""
+        """A lazy view of a write row."""
         return ColumnarWriteTrace(self, ref)
 
     # ------------------------------------------------------------------
@@ -425,9 +428,8 @@ class ColumnarTraceLog:
     ) -> None:
         """Record one replica response: its arrival and the version it carried.
 
-        Equivalent to :meth:`note_read_response` followed by
-        :meth:`note_read_quorum` (``in_quorum``) or :meth:`note_read_late`,
-        in one call — the coordinator's per-response recording path.
+        ``in_quorum`` marks a response counted among the first R; the others
+        arrived after the read had already returned.
         """
         ids = self._string_ids
         node = ids[node_id]
@@ -451,36 +453,6 @@ class ColumnarTraceLog:
             self._rl_writer.append(writer)
         self._mutations += 1
 
-    def note_read_response(self, ref: int, node_id: str, time_ms: float) -> None:
-        """Record a replica response reaching the coordinator (R + S legs)."""
-        self._rr_row.append(ref)
-        self._rr_node.append(self._string_ids[node_id])
-        self._rr_time.append(time_ms)
-        self._mutations += 1
-
-    def note_read_quorum(self, ref: int, node_id: str, version: Optional[Version]) -> None:
-        """Record a response counted among the first R."""
-        self._note_read_version("_rq", ref, node_id, version)
-
-    def note_read_late(self, ref: int, node_id: str, version: Optional[Version]) -> None:
-        """Record a response that arrived after the read already returned."""
-        self._note_read_version("_rl", ref, node_id, version)
-
-    def _note_read_version(
-        self, group: str, ref: int, node_id: str, version: Optional[Version]
-    ) -> None:
-        """Append one (row, node, version) entry to the ``group`` columns."""
-        ids = self._string_ids
-        getattr(self, group + "_row").append(ref)
-        getattr(self, group + "_node").append(ids[node_id])
-        if version is None:
-            getattr(self, group + "_ts").append(_NO_VERSION)
-            getattr(self, group + "_writer").append(_NO_VERSION)
-        else:
-            getattr(self, group + "_ts").append(version.timestamp)
-            getattr(self, group + "_writer").append(ids[version.writer])
-        self._mutations += 1
-
     def note_read_complete(
         self, ref: int, version: Optional[Version], time_ms: float
     ) -> None:
@@ -502,94 +474,11 @@ class ColumnarTraceLog:
         self._mutations += 1
 
     def read_view(self, ref: int) -> ColumnarReadTrace:
-        """A lazy ``ReadTrace``-shaped view of a read row."""
+        """A lazy view of a read row."""
         return ColumnarReadTrace(self, ref)
 
     # ------------------------------------------------------------------
-    # Object-trace ingestion (conversion from the object backend).
-    # ------------------------------------------------------------------
-    def record_write(self, trace: WriteTrace) -> None:
-        """Ingest a fully-built object ``WriteTrace`` (conversion/back-compat)."""
-        ref = self.begin_write(
-            trace.operation_id, trace.key, trace.version, trace.coordinator, trace.started_ms
-        )
-        for node_id, time_ms in trace.replica_arrivals_ms.items():
-            self.note_write_arrival(ref, node_id, time_ms)
-        for node_id, time_ms in trace.ack_arrivals_ms.items():
-            self.note_write_ack(ref, node_id, time_ms)
-        for node_id in sorted(trace.dropped_replicas):
-            self.note_write_drop(ref, node_id)
-        if trace.committed_ms is not None:
-            self.note_write_commit(ref, trace.committed_ms)
-
-    def record_read(self, trace: ReadTrace) -> None:
-        """Ingest a fully-built object ``ReadTrace`` (conversion/back-compat)."""
-        ref = self.begin_read(
-            trace.operation_id, trace.key, trace.coordinator, trace.started_ms
-        )
-        for node_id, time_ms in trace.response_arrivals_ms.items():
-            self.note_read_response(ref, node_id, time_ms)
-        for node_id, version in trace.quorum_responses.items():
-            self.note_read_quorum(ref, node_id, version)
-        for node_id, version in trace.late_responses.items():
-            self.note_read_late(ref, node_id, version)
-        if trace.completed_ms is not None or trace.returned_version is not None:
-            completed = trace.completed_ms
-            self.note_read_complete(
-                ref, trace.returned_version, math.nan if completed is None else completed
-            )
-        if trace.timed_out:
-            self.note_read_timeout(ref)
-        for _ in range(trace.repairs_issued):
-            self.note_read_repair(ref)
-
-    @classmethod
-    def from_object_log(cls, log: TraceLog) -> "ColumnarTraceLog":
-        """Convert an object ``TraceLog`` into a columnar one, in record order."""
-        columnar = cls()
-        for trace in log.writes:
-            columnar.record_write(trace)
-        for trace in log.reads:
-            columnar.record_read(trace)
-        return columnar
-
-    def to_object_log(self) -> TraceLog:
-        """Materialise an object ``TraceLog`` with equal traces, in record order."""
-        log = TraceLog()
-        for view in self.writes:
-            log.record_write(
-                WriteTrace(
-                    operation_id=view.operation_id,
-                    key=view.key,
-                    version=view.version,
-                    coordinator=view.coordinator,
-                    started_ms=view.started_ms,
-                    replica_arrivals_ms=view.replica_arrivals_ms,
-                    ack_arrivals_ms=view.ack_arrivals_ms,
-                    committed_ms=view.committed_ms,
-                    dropped_replicas=view.dropped_replicas,
-                )
-            )
-        for view in self.reads:
-            log.record_read(
-                ReadTrace(
-                    operation_id=view.operation_id,
-                    key=view.key,
-                    coordinator=view.coordinator,
-                    started_ms=view.started_ms,
-                    quorum_responses=view.quorum_responses,
-                    late_responses=view.late_responses,
-                    response_arrivals_ms=view.response_arrivals_ms,
-                    returned_version=view.returned_version,
-                    completed_ms=view.completed_ms,
-                    timed_out=view.timed_out,
-                    repairs_issued=view.repairs_issued,
-                )
-            )
-        return log
-
-    # ------------------------------------------------------------------
-    # Row-view sequences (back-compat with ``TraceLog.writes`` / ``.reads``).
+    # Row-view sequences.
     # ------------------------------------------------------------------
     @property
     def writes(self) -> list[ColumnarWriteTrace]:
@@ -765,7 +654,7 @@ class ColumnarTraceLog:
         return cached
 
     # ------------------------------------------------------------------
-    # Queries used by the analysis package (TraceLog-compatible surface).
+    # Queries used by the analysis package.
     # ------------------------------------------------------------------
     def committed_write_rows(self, key: str | None = None) -> np.ndarray:
         """Committed write row ids in commit-time order (the analysis column order)."""

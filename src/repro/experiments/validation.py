@@ -55,7 +55,6 @@ def run_validation_grid(
     prediction_trials: int = 100_000,
     workers: int | None = None,
     draw_batch_size: int | None = None,
-    trace_backend: str | None = None,
 ) -> ExperimentResult:
     """Run the predicted-vs-observed comparison over the full §5.2 grid.
 
@@ -81,9 +80,6 @@ def run_validation_grid(
         draw_batch_size: Network draw-buffer size per simulated cluster
             (default: the cluster's own default; ``1`` is the legacy
             per-message sampling stream).
-        trace_backend: Trace storage per simulated cluster (``"columnar"``
-            default, ``"object"`` the equivalence oracle); both backends
-            produce identical grid rows.
     """
     if config is not None and configs is not None:
         raise ExperimentError("pass either config= or configs=, not both")
@@ -97,8 +93,6 @@ def run_validation_grid(
         validation_kwargs["workers"] = workers
     if draw_batch_size is not None:
         validation_kwargs["draw_batch_size"] = draw_batch_size
-    if trace_backend is not None:
-        validation_kwargs["trace_backend"] = trace_backend
     for swept_config in swept_configs:
         for w_mean in VALIDATION_W_MEANS_MS:
             for ars_mean in VALIDATION_ARS_MEANS_MS:

@@ -92,8 +92,8 @@ def harvest_wars_observations(
     """Extract per-leg W/A/R/S samples from one block's trace log.
 
     Args:
-        trace_log: A cluster trace log (columnar or object backend — both
-            expose ``writes``/``reads`` row views).
+        trace_log: A cluster's :class:`~repro.cluster.tracelog.ColumnarTraceLog`
+            (read through its ``writes``/``reads`` row views).
         offset_ms: Added to every local timestamp, mapping this block onto
             the run's global timeline.
         split_rng: Generator for the R/S round-trip split draws (one uniform

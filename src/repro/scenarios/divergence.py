@@ -176,7 +176,6 @@ class _ScenarioBlockSpec:
     writes: int
     seed: np.random.SeedSequence
     draw_batch_size: int
-    trace_backend: str = "columnar"
 
 
 def _run_scenario_block(
@@ -190,7 +189,6 @@ def _run_scenario_block(
         distributions=scenario.distributions_for_cluster(),
         rng=np.random.default_rng(cluster_seed),
         draw_batch_size=spec.draw_batch_size,
-        trace_backend=spec.trace_backend,
         **scenario.cluster_kwargs,
     )
     context = ScenarioContext(
@@ -217,7 +215,6 @@ def _measure_scenario(
     block_writes: int,
     draw_batch_size: int,
     workers: int,
-    trace_backend: str,
 ) -> tuple[list[StalenessObservation], np.ndarray, np.ndarray, int]:
     """Run the measured side as independent blocks, serially or on a pool."""
     sizes = _block_sizes(writes, block_writes)
@@ -229,7 +226,6 @@ def _measure_scenario(
             writes=size,
             seed=seed,
             draw_batch_size=draw_batch_size,
-            trace_backend=trace_backend,
         )
         for size, seed in zip(sizes, seeds)
     ]
@@ -278,7 +274,6 @@ def run_scenario(
     workers: int | None = None,
     block_writes: int | None = None,
     draw_batch_size: int = DEFAULT_DRAW_BATCH_SIZE,
-    trace_backend: str = "columnar",
 ) -> ScenarioDivergence:
     """Run one registered scenario and report model-vs-simulation divergence.
 
@@ -297,8 +292,6 @@ def run_scenario(
             ``N=3, R=1, W=1`` validation cell.
         workers: Block-level process parallelism (``None`` or ``1`` = serial).
         block_writes: Override :data:`SCENARIO_BLOCK_WRITES`.
-        trace_backend: ``"columnar"`` (default) or ``"object"`` trace storage
-            for the block clusters; both yield identical divergence reports.
     """
     scenario = get_scenario(name)
     if config is None:
@@ -322,7 +315,6 @@ def run_scenario(
         block_writes=block_writes or SCENARIO_BLOCK_WRITES,
         draw_batch_size=draw_batch_size,
         workers=workers or 1,
-        trace_backend=trace_backend,
     )
     if not observations:
         raise ScenarioError(

@@ -20,27 +20,27 @@ from repro.analysis.statistics import (
     empirical_cdf,
 )
 from repro.analysis.tables import format_curve, format_kv, format_table
-from repro.cluster.tracing import ReadTrace, TraceLog, WriteTrace
+from repro.cluster.tracelog import ColumnarTraceLog
 from repro.cluster.versioning import Version
 from repro.exceptions import AnalysisError
 
 
-def _write(op_id: int, timestamp: int, started: float, committed: float) -> WriteTrace:
-    return WriteTrace(
-        operation_id=op_id,
-        key="k",
-        version=Version(timestamp, "c"),
-        coordinator="c",
-        started_ms=started,
-        committed_ms=committed,
-    )
+def _write(
+    log: ColumnarTraceLog, op_id: int, timestamp: int, started: float, committed: float
+) -> None:
+    ref = log.begin_write(op_id, "k", Version(timestamp, "c"), "c", started)
+    log.note_write_commit(ref, committed)
 
 
-def _read(op_id: int, started: float, returned: Version | None, completed: float) -> ReadTrace:
-    trace = ReadTrace(operation_id=op_id, key="k", coordinator="c", started_ms=started)
-    trace.returned_version = returned
-    trace.completed_ms = completed
-    return trace
+def _read(
+    log: ColumnarTraceLog,
+    op_id: int,
+    started: float,
+    returned: Version | None,
+    completed: float,
+) -> None:
+    ref = log.begin_read(op_id, "k", "c", started)
+    log.note_read_complete(ref, returned, completed)
 
 
 class TestStatisticsHelpers:
@@ -79,18 +79,18 @@ class TestStatisticsHelpers:
 
 
 class TestObserveStaleness:
-    def _trace_log(self) -> TraceLog:
-        log = TraceLog()
-        log.record_write(_write(1, 1, started=0.0, committed=5.0))
-        log.record_write(_write(2, 2, started=100.0, committed=105.0))
+    def _trace_log(self) -> ColumnarTraceLog:
+        log = ColumnarTraceLog()
+        _write(log, 1, 1, started=0.0, committed=5.0)
+        _write(log, 2, 2, started=100.0, committed=105.0)
         # Read at t=50: latest committed is v1; returns v1 -> consistent, lag 0.
-        log.record_read(_read(10, 50.0, Version(1, "c"), 52.0))
+        _read(log, 10, 50.0, Version(1, "c"), 52.0)
         # Read at t=110: latest committed is v2; returns v1 -> stale, lag 1.
-        log.record_read(_read(11, 110.0, Version(1, "c"), 112.0))
+        _read(log, 11, 110.0, Version(1, "c"), 112.0)
         # Read at t=120: returns v2 -> consistent.
-        log.record_read(_read(12, 120.0, Version(2, "c"), 122.0))
+        _read(log, 12, 120.0, Version(2, "c"), 122.0)
         # Read at t=130: returns nothing -> stale by all committed versions.
-        log.record_read(_read(13, 130.0, None, 132.0))
+        _read(log, 13, 130.0, None, 132.0)
         return log
 
     def test_observations_and_lags(self):
@@ -104,17 +104,17 @@ class TestObserveStaleness:
         assert by_id[11].t_since_commit_ms == pytest.approx(5.0)
 
     def test_reads_before_any_commit_are_skipped(self):
-        log = TraceLog()
-        log.record_write(_write(1, 1, started=100.0, committed=105.0))
-        log.record_read(_read(10, 50.0, None, 52.0))
+        log = ColumnarTraceLog()
+        _write(log, 1, 1, started=100.0, committed=105.0)
+        _read(log, 10, 50.0, None, 52.0)
         assert observe_staleness(log) == []
 
     def test_newer_than_committed_counts_as_consistent(self):
-        log = TraceLog()
-        log.record_write(_write(1, 1, started=0.0, committed=5.0))
-        log.record_write(_write(2, 2, started=6.0, committed=50.0))
+        log = ColumnarTraceLog()
+        _write(log, 1, 1, started=0.0, committed=5.0)
+        _write(log, 2, 2, started=6.0, committed=50.0)
         # Read at t=10 returns the in-flight v2 (commits later at t=50).
-        log.record_read(_read(10, 10.0, Version(2, "c"), 12.0))
+        _read(log, 10, 10.0, Version(2, "c"), 12.0)
         observations = observe_staleness(log)
         assert len(observations) == 1 and observations[0].consistent
 
@@ -161,7 +161,7 @@ class TestObserveStaleness:
         assert np.all(reads == 2.0)
         assert np.all(writes == 5.0)
         with pytest.raises(AnalysisError):
-            operation_latencies(TraceLog())
+            operation_latencies(ColumnarTraceLog())
 
 
 class TestTableRendering:

@@ -151,17 +151,13 @@ def _naive_observe_staleness(trace_log, key=None) -> list[StalenessObservation]:
     return observations
 
 
-@pytest.mark.parametrize("trace_backend", ["columnar", "object"])
 class TestFastStalenessAnalysis:
-    def _traced_cluster(
-        self, loss: float = 0.0, keys: int = 1, trace_backend: str = "columnar"
-    ) -> DynamoCluster:
+    def _traced_cluster(self, loss: float = 0.0, keys: int = 1) -> DynamoCluster:
         cluster = DynamoCluster(
             config=CONFIG,
             distributions=_distributions(),
             rng=11,
             loss_probability=loss,
-            trace_backend=trace_backend,
         )
         runner = WorkloadRunner(cluster)
         operations = []
@@ -177,71 +173,25 @@ class TestFastStalenessAnalysis:
         runner.run(operations)
         return cluster
 
-    def test_matches_naive_reference_single_key(self, trace_backend):
-        log = self._traced_cluster(trace_backend=trace_backend).trace_log
+    def test_matches_naive_reference_single_key(self):
+        log = self._traced_cluster().trace_log
         assert observe_staleness(log, key="k0") == _naive_observe_staleness(log, key="k0")
 
-    def test_matches_naive_reference_multi_key_all_keys(self, trace_backend):
-        log = self._traced_cluster(keys=3, trace_backend=trace_backend).trace_log
+    def test_matches_naive_reference_multi_key_all_keys(self):
+        log = self._traced_cluster(keys=3).trace_log
         assert observe_staleness(log) == _naive_observe_staleness(log)
 
-    def test_matches_naive_reference_under_message_loss(self, trace_backend):
+    def test_matches_naive_reference_under_message_loss(self):
         # Loss produces stale reads, empty reads, and version lags > 0 —
-        # exactly the branches where the Fenwick bookkeeping could diverge.
-        log = self._traced_cluster(loss=0.25, trace_backend=trace_backend).trace_log
+        # exactly the branches where the window bookkeeping could diverge.
+        log = self._traced_cluster(loss=0.25).trace_log
         fast = observe_staleness(log, key="k0")
         naive = _naive_observe_staleness(log, key="k0")
         assert fast == naive
         assert any(not obs.consistent for obs in fast)
         assert any(obs.version_lag > 1 for obs in fast)
 
-    def test_empty_log_returns_empty(self, trace_backend):
+    def test_empty_log_returns_empty(self):
         from repro.cluster.tracelog import ColumnarTraceLog
-        from repro.cluster.tracing import TraceLog
 
-        log = ColumnarTraceLog() if trace_backend == "columnar" else TraceLog()
-        assert observe_staleness(log) == []
-
-
-class TestStalenessMethodDispatch:
-    def _log(self, trace_backend: str = "columnar", loss: float = 0.25):
-        cluster = DynamoCluster(
-            config=CONFIG,
-            distributions=_distributions(),
-            rng=11,
-            loss_probability=loss,
-            trace_backend=trace_backend,
-        )
-        WorkloadRunner(cluster).run(
-            validation_workload(
-                key="k0", writes=60, write_interval_ms=100.0,
-                read_offsets_ms=(1.0, 5.0, 20.0, 60.0),
-            )
-        )
-        return cluster.trace_log
-
-    def test_columnar_and_fenwick_methods_agree_exactly(self):
-        log = self._log()
-        columnar = observe_staleness(log, method="columnar")
-        fenwick = observe_staleness(log, method="fenwick")
-        assert columnar == fenwick
-        assert any(not obs.consistent for obs in columnar)
-
-    def test_fenwick_oracle_runs_on_both_backends(self):
-        columnar_log = self._log("columnar")
-        object_log = self._log("object")
-        columnar_obs = observe_staleness(columnar_log, method="fenwick")
-        object_obs = observe_staleness(object_log, method="fenwick")
-        # Operation ids are process-global; compare everything but the id.
-        strip = lambda obs: [
-            (o.key, o.t_since_commit_ms, o.consistent, o.version_lag) for o in obs
-        ]
-        assert strip(columnar_obs) == strip(object_obs)
-
-    def test_columnar_method_rejected_on_object_backend(self):
-        with pytest.raises(AnalysisError):
-            observe_staleness(self._log("object"), method="columnar")
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(AnalysisError):
-            observe_staleness(self._log(), method="quadratic")
+        assert observe_staleness(ColumnarTraceLog()) == []

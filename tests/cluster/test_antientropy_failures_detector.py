@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.failures import FailureEvent, FailureInjector
 from repro.cluster.staleness_detector import StalenessDetector
 from repro.cluster.store import DynamoCluster
-from repro.cluster.tracing import ReadTrace, TraceLog, WriteTrace
+from repro.cluster.tracelog import ColumnarTraceLog
 from repro.cluster.versioning import Version
 from repro.core.quorum import ReplicaConfig
 from repro.exceptions import ConfigurationError
@@ -124,27 +124,10 @@ class TestFailureInjection:
 
 class TestTraceLog:
     def test_latest_committed_version_before(self):
-        log = TraceLog()
-        log.record_write(
-            WriteTrace(
-                operation_id=1,
-                key="k",
-                version=Version(1, "c"),
-                coordinator="c",
-                started_ms=0.0,
-                committed_ms=5.0,
-            )
-        )
-        log.record_write(
-            WriteTrace(
-                operation_id=2,
-                key="k",
-                version=Version(2, "c"),
-                coordinator="c",
-                started_ms=10.0,
-                committed_ms=15.0,
-            )
-        )
+        log = ColumnarTraceLog()
+        for op, (started, committed) in enumerate([(0.0, 5.0), (10.0, 15.0)], start=1):
+            ref = log.begin_write(op, "k", Version(op, "c"), "c", started)
+            log.note_write_commit(ref, committed)
         assert log.latest_committed_version_before("k", 4.0) is None
         assert log.latest_committed_version_before("k", 7.0) == Version(1, "c")
         assert log.latest_committed_version_before("k", 100.0) == Version(2, "c")
@@ -152,35 +135,21 @@ class TestTraceLog:
         assert log.commit_time_of("k", Version(9, "c")) is None
 
     def test_committed_and_completed_filters(self):
-        log = TraceLog()
-        log.record_write(
-            WriteTrace(
-                operation_id=1,
-                key="k",
-                version=Version(1, "c"),
-                coordinator="c",
-                started_ms=0.0,
-            )
-        )
-        log.record_read(
-            ReadTrace(operation_id=2, key="k", coordinator="c", started_ms=1.0)
-        )
+        log = ColumnarTraceLog()
+        log.begin_write(1, "k", Version(1, "c"), "c", 0.0)
+        log.begin_read(2, "k", "c", 1.0)
         assert log.committed_writes() == []
         assert log.completed_reads() == []
         log.clear()
         assert not log.writes and not log.reads
 
     def test_arrival_offsets_require_commit(self):
-        trace = WriteTrace(
-            operation_id=1,
-            key="k",
-            version=Version(1, "c"),
-            coordinator="c",
-            started_ms=0.0,
-            replica_arrivals_ms={"a": 3.0},
-        )
+        log = ColumnarTraceLog()
+        ref = log.begin_write(1, "k", Version(1, "c"), "c", 0.0)
+        log.note_write_arrival(ref, "a", 3.0)
+        trace = log.write_view(ref)
         assert trace.arrival_offsets_from_commit() == {}
-        trace.committed_ms = 5.0
+        log.note_write_commit(ref, 5.0)
         assert trace.arrival_offsets_from_commit() == {"a": -2.0}
 
 

@@ -2,8 +2,8 @@
 
 Each cell below runs a small §5.2-style workload on a fixed seed and hashes
 a canonical dump of everything the run recorded: every trace column (read
-through the public row views, so the dump does not depend on how a backend
-stores or interns them) plus the network and simulator counters
+through the public row views, so the dump does not depend on how the trace
+log stores or interns them) plus the network and simulator counters
 (``draws_consumed``, ``draw_refills``, ``processed_events``,
 ``dropped_messages``).  Operation ids are rebased to the run's first id
 because :func:`~repro.cluster.messages.next_operation_id` counts across the
@@ -12,10 +12,10 @@ whole process.
 A digest changes when anything about the simulation changes: which message
 receives which latency draw, the ``(time, sequence)`` order of events, the
 number of events, or what the coordinator records.  A change that is meant
-to be behaviour-preserving (a hot-path rewrite, a storage refactor, deleting
-an alternate engine) must leave every digest as it is.  The digests also
-depend on NumPy's generator streams: if a NumPy upgrade moves them, confirm
-that the unchanged parent commit moves identically before regenerating.
+to be behaviour-preserving (a hot-path rewrite, a storage refactor) must
+leave every digest as it is.  The digests also depend on NumPy's generator
+streams: if a NumPy upgrade moves them, confirm that the unchanged parent
+commit moves identically before regenerating.
 
 Two more digest families widen the net:
 
@@ -135,7 +135,7 @@ def _version(version) -> list | None:
 
 
 def canonical_dump(cluster: DynamoCluster) -> dict:
-    """Every recorded trace column and run counter, in a backend-neutral form."""
+    """Every recorded trace column and run counter, in a storage-neutral form."""
     log = cluster.trace_log
     writes, reads = log.writes, log.reads
     base = min(trace.operation_id for trace in [*writes, *reads])
@@ -225,47 +225,6 @@ def test_per_draw_golden_digest(name):
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_analysis_golden_digest(name):
     assert sha256_json(analysis_dump(run_cell(name))) == ANALYSIS_DIGESTS[name]
-
-
-@pytest.mark.parametrize("labels", [False, True], ids=["unlabelled", "labelled"])
-@pytest.mark.parametrize("name", sorted(PER_DRAW_DIGESTS))
-def test_reference_engine_reproduces_per_draw_cells(name, labels):
-    """The pinned reference engine records what the per-draw digests pin."""
-    per_draw = canonical_dump(run_cell(name, draw_batch_size=1))
-    reference = canonical_dump(run_cell(name, engine="reference", event_labels=labels))
-    assert digest(run_cell(name, draw_batch_size=1)) == PER_DRAW_DIGESTS[name]
-    # The reference engine counts no draws; events and drops must agree.
-    assert reference["counters"][:2] == [0, 0] and per_draw["counters"][0] > 0
-    assert per_draw.pop("counters")[2:] == reference.pop("counters")[2:]
-    assert per_draw == reference
-
-
-@pytest.mark.parametrize("trace_backend", ["columnar", "object"])
-@pytest.mark.parametrize("name", sorted(CELLS))
-def test_fenwick_oracle_reproduces_analysis_digests(name, trace_backend):
-    """The Fenwick pass on either trace log gives the pinned analysis dump."""
-    from repro.analysis.staleness import observe_staleness
-
-    log = run_cell(name, trace_backend=trace_backend).trace_log
-    base = min(trace.operation_id for trace in [*log.writes, *log.reads])
-    reads, writes = operation_latencies(log)
-    dump = {
-        "observations": [
-            [obs.operation_id - base, obs.key, obs.t_since_commit_ms, obs.consistent,
-             obs.version_lag]
-            for obs in observe_staleness(log, method="fenwick")
-        ],
-        "read_latencies": reads.tolist(),
-        "write_latencies": writes.tolist(),
-    }
-    assert sha256_json(dump) == ANALYSIS_DIGESTS[name]
-
-
-def test_event_labels_and_object_backend_reproduce_the_baseline():
-    """The labelled scheduling path and the object trace log record the same run."""
-    expected = GOLDEN_DIGESTS["baseline-seed0"]
-    assert digest(run_cell("baseline-seed0", event_labels=True)) == expected
-    assert digest(run_cell("baseline-seed0", trace_backend="object")) == expected
 
 
 def test_cells_exercise_their_conditions():

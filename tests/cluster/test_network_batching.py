@@ -6,8 +6,8 @@ The contract under test (see :mod:`repro.cluster.sampling`):
 * delivery decisions never touch a latency buffer — a dropped message
   consumes exactly one loss draw and zero latency draws;
 * fixed seed + fixed batch size => bit-for-bit reproducible runs;
-* ``draw_batch_size=1`` reproduces the legacy per-message sampling stream,
-  which the pinned reference engine also produces.
+* ``draw_batch_size=1`` reproduces the legacy per-message sampling stream
+  (``tests/cluster/test_golden_traces.py`` pins whole runs of it).
 """
 
 from __future__ import annotations
@@ -273,21 +273,6 @@ class TestEndToEndDeterminism:
         assert _trace_fingerprint(first) == _trace_fingerprint(second)
         assert first.network.dropped_messages == second.network.dropped_messages
 
-    def test_batch_size_one_matches_reference_engine_exactly(self):
-        """draw_batch_size=1 on the new engine == the pinned pre-overhaul engine.
-
-        The event representation never consumes randomness, so the two
-        engines must produce bit-for-bit identical traces when both draw one
-        sample per message.
-        """
-        batched_off = _run_cluster(17, draw_batch_size=1)
-        reference = _run_cluster(17, engine="reference", event_labels=True)
-        assert _trace_fingerprint(batched_off) == _trace_fingerprint(reference)
-        # Unlabelled, the reference queue and network serve the flattened
-        # send path (raw heap entries, per-replica draw sources).
-        unlabelled = _run_cluster(17, engine="reference")
-        assert _trace_fingerprint(batched_off) == _trace_fingerprint(unlabelled)
-
     def test_batch_size_changes_stream_but_not_statistics(self):
         # Different batch sizes give different (but statistically equivalent)
         # traces; this pins that they are *expected* to differ, so equality
@@ -296,10 +281,6 @@ class TestEndToEndDeterminism:
         large = _run_cluster(23, draw_batch_size=4096)
         assert _trace_fingerprint(small) != _trace_fingerprint(large)
         assert len(small.trace_log.reads) == len(large.trace_log.reads)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _run_cluster(0, engine="warp-drive")
 
 
 #: Endpoint pool for the churn property test: the original replicas plus

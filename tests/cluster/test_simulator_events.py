@@ -420,31 +420,6 @@ class TestFastPathScheduling:
         assert fired == [7]
 
 
-class TestReferenceEngine:
-    def test_reference_simulator_matches_new_engine_timing(self):
-        from repro.cluster.reference import ReferenceSimulator
-
-        for simulator in (Simulator(rng=0), ReferenceSimulator(rng=0)):
-            seen: list[float] = []
-            simulator.schedule(10.0, lambda s=simulator: seen.append(s.now_ms))
-            simulator.schedule(5.0, lambda s=simulator: seen.append(s.now_ms))
-            simulator.run(until_ms=7.0)
-            assert seen == [5.0]
-            assert simulator.now_ms == 7.0
-            simulator.run()
-            assert seen == [5.0, 10.0]
-            assert simulator.processed_events == 2
-
-    def test_reference_queue_len_and_cancel(self):
-        from repro.cluster.reference import ReferenceEventQueue
-
-        queue = ReferenceEventQueue()
-        queue.push(1.0, lambda: None)
-        cancelled = queue.push(2.0, lambda: None)
-        cancelled.cancel()
-        assert len(queue) == 1
-
-
 class TestProcessedCountOnFailure:
     def test_processed_events_exact_when_action_raises(self):
         simulator = Simulator(rng=0)

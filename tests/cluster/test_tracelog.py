@@ -1,23 +1,18 @@
-"""Unit tests for the struct-of-arrays trace backend.
+"""Unit tests for the struct-of-arrays trace log.
 
 Pins the columnar pipeline's three contracts:
 
-* the narrow ``begin_*``/``note_*`` recording API produces row views whose
-  attribute surface is indistinguishable from the object dataclasses;
+* the narrow ``begin_*``/``note_*`` recording API produces row views that
+  expose exactly the recorded values;
 * ``ColumnarTraceLog.merge`` concatenates columns in block order, so a merged
   sharded log answers every query exactly like the serial log;
 * query caches (sort orders, per-key commit indexes) are invalidated by
-  mutation — and on the object log the per-key index is built exactly once,
-  never once per query (the ``index_scans`` regression counter).
+  mutation.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.cluster.tracelog import ColumnarTraceLog
-from repro.cluster.tracing import ReadTrace, TraceLog, WriteTrace
 from repro.cluster.versioning import Version
 
 
@@ -40,15 +35,13 @@ def _record_workload(log, op_base: int = 0) -> None:
     log.note_write_commit(w2, 32.0)
 
     r0 = log.begin_read(op_base + 3, "alpha", "c-0", 40.0)
-    log.note_read_response(r0, "node-0", 41.0)
-    log.note_read_quorum(r0, "node-0", Version(3, "c-0"))
+    log.note_read_reply(r0, "node-0", 41.0, Version(3, "c-0"), True)
     log.note_read_complete(r0, Version(3, "c-0"), 41.0)
-    log.note_read_late(r0, "node-1", Version(1, "c-0"))
+    log.note_read_reply(r0, "node-1", 43.0, Version(1, "c-0"), False)
     log.note_read_repair(r0)
 
     r1 = log.begin_read(op_base + 4, "alpha", "c-1", 50.0)
-    log.note_read_response(r1, "node-2", 51.0)
-    log.note_read_quorum(r1, "node-2", None)
+    log.note_read_reply(r1, "node-2", 51.0, None, True)
     log.note_read_complete(r1, None, 51.0)
 
     r2 = log.begin_read(op_base + 5, "beta", "c-0", 60.0)
@@ -97,39 +90,34 @@ def _log_tuples(log) -> tuple:
     )
 
 
+#: ``_log_tuples`` of the log ``_record_workload`` builds (``op_base=0``).
+RECORDED_ROWS = (
+    (
+        (0, "alpha", (1, "c-0"), "c-0", 10.0, 13.0, {"node-0": 12.0, "node-1": 15.5},
+         {"node-0": 13.0}, {"node-2"}, True, 3.0, {"node-0": -1.0, "node-1": 2.5}),
+        (1, "beta", (2, "c-1"), "c-1", 20.0, None, {"node-1": 24.0}, {}, set(), False,
+         None, {}),
+        (2, "alpha", (3, "c-0"), "c-0", 30.0, 32.0, {"node-0": 31.0}, {"node-0": 32.0},
+         set(), True, 2.0, {"node-0": -1.0}),
+    ),
+    (
+        (3, "alpha", "c-0", 40.0, {"node-0": Version(3, "c-0")},
+         {"node-1": Version(1, "c-0")}, {"node-0": 41.0, "node-1": 43.0},
+         Version(3, "c-0"), 41.0, False, 1, True, 1.0),
+        (4, "alpha", "c-1", 50.0, {"node-2": None}, {}, {"node-2": 51.0}, None, 51.0,
+         False, 0, True, 1.0),
+        (5, "beta", "c-0", 60.0, {}, {}, {}, None, None, True, 0, False, None),
+    ),
+)
+
+
 class TestNarrowApiEquivalence:
-    """Both backends fed the same scalar calls expose identical traces."""
+    """The scalar recording calls and the row views agree field for field."""
 
-    def test_columnar_views_match_object_traces(self):
-        columnar = ColumnarTraceLog()
-        objects = TraceLog()
-        _record_workload(columnar)
-        _record_workload(objects)
-        assert _log_tuples(columnar) == _log_tuples(objects)
-
-    @pytest.mark.parametrize("log_type", [ColumnarTraceLog, TraceLog], ids=["columnar", "object"])
-    def test_note_read_reply_matches_separate_calls(self, log_type):
-        replies = [
-            ("node-0", 41.0, Version(3, "c-0"), True),
-            ("node-2", 42.5, None, True),
-            ("node-1", 44.0, Version(1, "c-1"), False),
-            ("node-3", 47.0, None, False),
-        ]
-        combined, separate = log_type(), log_type()
-        for log in (combined, separate):
-            _record_workload(log)
-        ref_a = combined.begin_read(10, "alpha", "c-0", 40.0)
-        ref_b = separate.begin_read(10, "alpha", "c-0", 40.0)
-        for node, time_ms, version, in_quorum in replies:
-            combined.note_read_reply(ref_a, node, time_ms, version, in_quorum)
-            separate.note_read_response(ref_b, node, time_ms)
-            if in_quorum:
-                separate.note_read_quorum(ref_b, node, version)
-            else:
-                separate.note_read_late(ref_b, node, version)
-        assert _log_tuples(combined) == _log_tuples(separate)
-        if log_type is ColumnarTraceLog:
-            assert combined.string_table() == separate.string_table()
+    def test_row_views_expose_the_recorded_workload(self):
+        log = ColumnarTraceLog()
+        _record_workload(log)
+        assert _log_tuples(log) == RECORDED_ROWS
 
     def test_note_read_reply_invalidates_cached_views(self):
         log = ColumnarTraceLog()
@@ -165,14 +153,6 @@ class TestNarrowApiEquivalence:
         assert log.reads[1].returned_version is None
         assert log.reads[2].completed is False
         assert log.reads[2].latency_ms is None
-
-    def test_roundtrip_conversions(self):
-        columnar = ColumnarTraceLog()
-        _record_workload(columnar)
-        materialised = columnar.to_object_log()
-        assert _log_tuples(materialised) == _log_tuples(columnar)
-        back = ColumnarTraceLog.from_object_log(materialised)
-        assert _log_tuples(back) == _log_tuples(columnar)
 
     def test_clear_drops_rows_and_strings(self):
         log = ColumnarTraceLog()
@@ -230,6 +210,18 @@ class TestQueries:
         assert len(log.committed_writes("alpha")) == 3
         assert log.latest_committed_version_before("alpha", 200.0) == Version(9, "c-0")
 
+    def test_narrow_api_mutations_invalidate_caches(self):
+        log = ColumnarTraceLog()
+        ref = log.begin_write(0, "k", Version(1, "c"), "c", 0.0)
+        assert log.committed_writes("k") == []
+        log.note_write_commit(ref, 1.0)
+        assert len(log.committed_writes("k")) == 1
+        read = log.begin_read(1, "k", "c", 2.0)
+        log.note_read_complete(read, Version(1, "c"), 3.0)
+        assert len(log.completed_reads("k")) == 1
+        log.note_read_timeout(read)
+        assert log.completed_reads("k") == []
+
     def test_writer_sort_ranks_are_lexicographic(self):
         log = ColumnarTraceLog()
         # Intern in an order that differs from string order: "c-10" < "c-2".
@@ -269,7 +261,7 @@ class TestMergeContract:
         block_a.note_write_commit(ref, 2.0)
         block_b = ColumnarTraceLog()
         ref = block_b.begin_read(1, "only-b", "co-b", 3.0)
-        block_b.note_read_quorum(ref, "nb", Version(1, "w-a"))
+        block_b.note_read_reply(ref, "nb", 3.5, Version(1, "w-a"), True)
         block_b.note_read_complete(ref, Version(1, "w-a"), 4.0)
         merged = ColumnarTraceLog.merge([block_b, block_a])
         assert merged.writes[0].key == "only-a"
@@ -291,97 +283,13 @@ class TestMergeContract:
         assert log.latest_committed_version_before("k", 1e9) == Version(999, "c")
 
 
-class TestObjectLogIndexing:
-    """The object log's per-key commit index is built once, not per query."""
-
-    def _filled_log(self, writes: int = 50) -> TraceLog:
-        log = TraceLog()
-        for index in range(writes):
-            log.record_write(
-                WriteTrace(
-                    operation_id=index,
-                    key="hot",
-                    version=Version(index, "c"),
-                    coordinator="c",
-                    started_ms=float(index),
-                    committed_ms=float(index) + 0.5,
-                )
-            )
-        return log
-
-    def test_repeated_version_queries_scan_the_log_once(self):
-        writes = 50
-        log = self._filled_log(writes)
-        assert log.index_scans == 0
-        for probe in range(200):
-            log.latest_committed_version_before("hot", float(probe % writes))
-            log.commit_time_of("hot", Version(probe % writes, "c"))
-        # 400 queries, one index build: the counter advances by one full scan,
-        # not one per query.
-        assert log.index_scans == writes
-
-    def test_mutation_triggers_exactly_one_rebuild(self):
-        writes = 50
-        log = self._filled_log(writes)
-        log.latest_committed_version_before("hot", 10.0)
-        assert log.index_scans == writes
-        log.record_write(
-            WriteTrace(
-                operation_id=writes,
-                key="hot",
-                version=Version(writes, "c"),
-                coordinator="c",
-                started_ms=float(writes),
-                committed_ms=float(writes) + 0.5,
-            )
-        )
-        for _ in range(10):
-            assert log.latest_committed_version_before("hot", 1e9) == Version(writes, "c")
-        assert log.index_scans == writes + (writes + 1)
-
-    def test_committed_writes_returns_fresh_copies(self):
-        log = self._filled_log(5)
-        first = log.committed_writes("hot")
-        first.clear()  # callers may mutate their copy...
-        assert len(log.committed_writes("hot")) == 5  # ...without corrupting the cache
-
-    def test_narrow_api_mutations_invalidate_caches(self):
-        log = TraceLog()
-        ref = log.begin_write(0, "k", Version(1, "c"), "c", 0.0)
-        assert log.committed_writes("k") == []
-        log.note_write_commit(ref, 1.0)
-        assert len(log.committed_writes("k")) == 1
-        read = log.begin_read(1, "k", "c", 2.0)
-        log.note_read_complete(read, Version(1, "c"), 3.0)
-        assert len(log.completed_reads("k")) == 1
-        log.note_read_timeout(read)
-        assert log.completed_reads("k") == []
-
-
-class TestBackendSelection:
-    def test_store_rejects_unknown_trace_backend(self):
-        from repro.cluster.store import DynamoCluster
-        from repro.core.quorum import ReplicaConfig
-        from repro.exceptions import ConfigurationError
-        from repro.latency.distributions import ExponentialLatency
-        from repro.latency.production import WARSDistributions
-
-        distributions = WARSDistributions.symmetric(ExponentialLatency.from_mean(1.0))
-        with pytest.raises(ConfigurationError):
-            DynamoCluster(
-                ReplicaConfig(3, 1, 1), distributions, trace_backend="parquet"
-            )
-
-    def test_store_backend_types(self):
+class TestStoreTraceLog:
+    def test_store_records_into_a_columnar_log(self):
         from repro.cluster.store import DynamoCluster
         from repro.core.quorum import ReplicaConfig
         from repro.latency.distributions import ExponentialLatency
         from repro.latency.production import WARSDistributions
 
         distributions = WARSDistributions.symmetric(ExponentialLatency.from_mean(1.0))
-        columnar = DynamoCluster(ReplicaConfig(3, 1, 1), distributions)
-        assert isinstance(columnar.trace_log, ColumnarTraceLog)
-        objects = DynamoCluster(
-            ReplicaConfig(3, 1, 1), distributions, trace_backend="object"
-        )
-        assert isinstance(objects.trace_log, TraceLog)
+        cluster = DynamoCluster(ReplicaConfig(3, 1, 1), distributions)
+        assert isinstance(cluster.trace_log, ColumnarTraceLog)

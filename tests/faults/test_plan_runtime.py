@@ -204,13 +204,3 @@ class TestClusterIntegration:
                 rng=np.random.default_rng(0),
                 fault_plan=self.PLAN,
             )
-
-    def test_reference_engine_rejects_fault_plans(self):
-        with pytest.raises(ConfigurationError):
-            DynamoCluster(
-                ReplicaConfig(3, 1, 1),
-                benign(),
-                rng=0,
-                engine="reference",
-                fault_plan=self.PLAN,
-            )

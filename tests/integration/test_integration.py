@@ -234,26 +234,6 @@ class TestValidationGridMatchesPerCellRuns:
                     assert row["write_latency_nrmse_pct"] == cell.write_latency_nrmse * 100.0
 
 
-    def test_grid_rows_identical_for_both_trace_backends(self):
-        """The 27-cell fast grid run on the object trace backend reproduces
-        the default (columnar) grid bit-for-bit: trace storage must never
-        change an experiment's numbers."""
-        from repro.experiments.validation import run_validation_grid
-
-        trials, prediction_trials, seed = 60, 3_000, 5
-        columnar = run_validation_grid(
-            trials=trials, rng=seed, prediction_trials=prediction_trials
-        )
-        objects = run_validation_grid(
-            trials=trials,
-            rng=seed,
-            prediction_trials=prediction_trials,
-            trace_backend="object",
-        )
-        assert len(columnar.rows) == 27
-        assert objects.rows == columnar.rows
-        assert _rows_digest(objects.rows) == FAST_GRID_DIGEST
-
     def test_fast_grid_rows_match_golden_digest(self):
         from repro.experiments.validation import run_validation_grid
 

@@ -6,6 +6,7 @@ Every registered scenario runs at 2k writes and must:
   (the blocked discipline inherited from the validation experiment);
 * emit a schema-valid, JSON-serialisable report with finite divergence
   metrics;
+* reproduce its pinned digest of the trace-derived report fields;
 * be reachable through the experiment registry and the CLI
   (``pbs-repro run scenario --name ...``).
 """
@@ -165,15 +166,6 @@ class TestConformance:
         serial = _conformance_run(name)
         sharded = run_scenario(name, workers=workers, **CONFORMANCE_KWARGS)
         assert serial.to_dict() == sharded.to_dict()
-
-    def test_object_trace_backend_matches_columnar_bit_for_bit(self, name):
-        # The columnar trace log is a storage change, not a semantics change:
-        # the object-backend run must reproduce the default report exactly.
-        objects = run_scenario(
-            name, workers=1, trace_backend="object", **CONFORMANCE_KWARGS
-        )
-        assert objects.to_dict() == _conformance_run(name).to_dict()
-        assert _trace_digest(objects) == TRACE_DIGESTS[name]
 
     def test_trace_fields_match_golden_digest(self, name):
         assert _trace_digest(_conformance_run(name)) == TRACE_DIGESTS[name]
