@@ -12,7 +12,9 @@ Routes (all JSON)::
     GET  /tenants/<name>/recommend?read_latency_ms=10&t_visibility_ms=20
 
 Errors map onto status codes: unknown routes and tenants are 404, invalid
-parameters (:class:`~repro.exceptions.PBSError`, malformed JSON) are 400.
+parameters (:class:`~repro.exceptions.PBSError`, malformed JSON, a negative
+``Content-Length``) are 400, a body over :data:`MAX_BODY_BYTES` is 413, and
+any other failure is a 500, so every request gets a JSON reply.
 The server is :class:`http.server.ThreadingHTTPServer`; the underlying
 service is thread-safe, so concurrent requests are fine.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -30,6 +33,15 @@ from repro.exceptions import PBSError
 from repro.serving.service import PredictorService
 
 __all__ = ["make_server", "serve_forever"]
+
+#: Largest request body the server reads, in bytes.  A request declaring a
+#: longer body is answered 413 before any of it is read.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(Exception):
+    """The request declared a body longer than :data:`MAX_BODY_BYTES`."""
+
 
 def _reject_constant(constant: str) -> float:
     """``parse_constant`` hook: refuse ``NaN``/``Infinity``/``-Infinity``."""
@@ -87,6 +99,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> dict:
         length = int(self.headers.get("Content-Length", "0"))
+        if length < 0:
+            # rfile.read(-1) would block until the client closes the socket.
+            raise ValueError(f"Content-Length must be non-negative, got {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b"{}"
         try:
             # json.loads accepts NaN/Infinity by default; a non-finite
@@ -109,6 +128,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": str(error.args[0]) if error.args else "not found"})
         except (PBSError, ValueError) as error:
             self._reply(400, {"error": str(error)})
+        except _BodyTooLarge as error:
+            self._reply(413, {"error": str(error)})
+        except Exception as error:  # noqa: BLE001 - the client still gets a status line
+            traceback.print_exc()
+            self._reply(500, {"error": f"internal error: {type(error).__name__}: {error}"})
 
     # ------------------------------------------------------------------
     # Routes.
@@ -125,8 +149,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, {"tenants": list(service.tenants())})
             return
         if len(segments) == 2 and segments[0] == "tenants" and method == "POST":
-            body = self._read_json()
-            fingerprint = service.register_tenant(segments[1], body.get("fit", "LNKD-SSD"))
+            fit = self._read_json().get("fit", "LNKD-SSD")
+            if not isinstance(fit, str):
+                raise ValueError(f'"fit" must be a production-fit name, got {fit!r}')
+            fingerprint = service.register_tenant(segments[1], fit)
             self._reply(200, {"tenant": segments[1], "fingerprint": fingerprint})
             return
         if len(segments) == 3 and segments[0] == "tenants":

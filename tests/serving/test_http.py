@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
 from repro.serving import PredictorService, make_server
+from repro.serving.http import MAX_BODY_BYTES
 
 
 @pytest.fixture
@@ -47,6 +50,20 @@ def _post(url: str, body: dict | None = None) -> tuple[int, dict]:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def _post_declaring_length(url: str, path: str, length: str) -> tuple[int, dict]:
+    """POST with a hand-set ``Content-Length`` and no body, then await the reply."""
+    address = urllib.parse.urlsplit(url)
+    connection = http.client.HTTPConnection(address.hostname, address.port, timeout=5.0)
+    try:
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Length", length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
 
 
 class TestRoutes:
@@ -119,6 +136,43 @@ class TestErrorMapping:
     def test_wan_registration_is_400(self, server_url):
         status, body = _post(f"{server_url}/tenants/wan", {"fit": "WAN"})
         assert status == 400 and "i.i.d." in body["error"]
+
+    def test_non_string_fit_is_400(self, server_url):
+        for fit in (5, ["LNKD-SSD"], {"name": "LNKD-SSD"}):
+            status, body = _post(f"{server_url}/tenants/odd", {"fit": fit})
+            assert status == 400 and "fit" in body["error"]
+        assert _get(f"{server_url}/tenants")[1] == {"tenants": ["acme"]}
+
+    def test_negative_content_length_is_400(self, server_url):
+        # Reading a body of length -1 would wait for the client to hang up;
+        # this client keeps the connection open until it has its reply.
+        status, body = _post_declaring_length(server_url, "/tenants/beta", "-1")
+        assert status == 400 and "Content-Length" in body["error"]
+
+    def test_oversized_content_length_is_413_before_the_body(self, server_url):
+        # No body follows the headers: the reply must not wait for one.
+        length = str(MAX_BODY_BYTES + 1)
+        status, body = _post_declaring_length(server_url, "/tenants/beta", length)
+        assert status == 413 and "limit" in body["error"]
+
+    def test_body_at_the_size_limit_is_read(self, server_url):
+        payload = json.dumps({"leg": "W", "values": [1.0]}).encode()
+        padded = payload.ljust(MAX_BODY_BYTES, b" ")
+        status, body = _post_raw(f"{server_url}/tenants/acme/observations", padded)
+        assert status == 200 and body["ingested"] == 1
+
+    def test_non_integer_content_length_is_400(self, server_url):
+        status, body = _post_declaring_length(server_url, "/tenants/beta", "ten")
+        assert status == 400 and "error" in body
+
+    def test_unexpected_error_is_500(self, server_url, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(PredictorService, "predict", fail)
+        status, body = _get(f"{server_url}/tenants/acme/predict?n=3&r=1&w=1")
+        assert status == 500 and "RuntimeError: boom" in body["error"]
+        assert _get(f"{server_url}/healthz") == (200, {"status": "ok"})
 
 
 class TestServeCommand:
