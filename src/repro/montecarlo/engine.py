@@ -82,11 +82,13 @@ The coordinator merges worker partials strictly in block order and applies
 the early-stopping convergence check after each merged chunk — the same
 cadence as the serial loop — so ``trials_run``, ``stopped_early``,
 ``converged``, every count, and every histogram bin are bit-for-bit identical
-to the serial seed-mode run, for any worker count.  Early stopping discards
-whatever speculative chunks were still in flight.  Two regimes cannot shard
-and silently fall back to serial execution: passing a ``numpy.random.Generator``
-(the stream is inherently sequential) and ``keep_samples=True`` (shipping the
-raw per-trial arrays between processes would cost more than the sampling).
+to the serial seed-mode run, for any worker count.  Early stopping waits for
+the speculative chunks still in flight (at most two per worker) and discards
+them, so the pool is never terminated while a worker is sending a partial.
+Two regimes cannot shard and silently fall back to serial execution: passing
+a ``numpy.random.Generator`` (the stream is inherently sequential) and
+``keep_samples=True`` (shipping the raw per-trial arrays between processes
+would cost more than the sampling).
 
 Adaptive probe-grid refinement
 ------------------------------
@@ -1698,8 +1700,10 @@ class SweepEngine:
         # past the merge frontier: chunk j's probe set depends on decisions
         # through boundary j - 1 - lag, which require chunks through that
         # index to be merged.  Without refinement every chunk's grid is known
-        # upfront and the whole task list can be in flight at once.
-        window = len(tasks) if plan is None else REFINE_ACTIVATION_LAG + 1
+        # upfront, and two chunks per worker keep the pool busy while the
+        # coordinator merges.  Either way the window is small, because every
+        # speculative chunk is finished (and discarded) on an early stop.
+        window = 2 * self._workers if plan is None else REFINE_ACTIVATION_LAG + 1
         # Fork keeps pool start-up negligible where available — but only
         # while no parallel JIT kernel has ever executed in this process:
         # numba's threading layers are not fork-safe (an OpenMP layer
@@ -1722,33 +1726,40 @@ class SweepEngine:
             # Tasks are submitted in block order and merged in block order
             # (a sliding window of async results), so the stopping and
             # refinement decisions see exactly the serial loop's state at
-            # every chunk boundary.  Breaking out of the loop lets the pool
-            # context terminate whatever speculative chunks were still in
-            # flight.
+            # every chunk boundary.
             in_flight: deque = deque()
             next_task = 0
             merged_chunks = 0  # merged worker chunks; inline chunk 0 excluded
-            while in_flight or next_task < len(tasks):
-                while next_task < len(tasks) and len(in_flight) < window:
-                    chunk_index = next_task + 1
-                    extra = () if plan is None else plan.probes_for_chunk(chunk_index)
-                    task = (*tasks[next_task], extra)
-                    in_flight.append(
-                        (tasks[next_task], pool.apply_async(_worker_run_chunk, (task,)))
-                    )
-                    next_task += 1
-                (_, count), handle = in_flight.popleft()
-                partials = handle.get()
-                chunk_index = merged_chunks + 1
-                if plan is not None:
-                    plan.activate_due(chunk_index, accumulators)
-                for accumulator, partial in zip(accumulators, partials):
-                    accumulator.merge(partial)
-                merged_chunks += 1
-                processed += count
-                tables = plan.probe_tables(accumulators) if plan is not None else None
-                if self._should_stop(accumulators, processed, trials, plan, tables):
-                    break
-                if plan is not None and processed < trials:
-                    plan.decide(tables, chunk_index)
+            try:
+                while in_flight or next_task < len(tasks):
+                    while next_task < len(tasks) and len(in_flight) < window:
+                        chunk_index = next_task + 1
+                        extra = () if plan is None else plan.probes_for_chunk(chunk_index)
+                        task = (*tasks[next_task], extra)
+                        in_flight.append(
+                            (tasks[next_task], pool.apply_async(_worker_run_chunk, (task,)))
+                        )
+                        next_task += 1
+                    (_, count), handle = in_flight.popleft()
+                    partials = handle.get()
+                    chunk_index = merged_chunks + 1
+                    if plan is not None:
+                        plan.activate_due(chunk_index, accumulators)
+                    for accumulator, partial in zip(accumulators, partials):
+                        accumulator.merge(partial)
+                    merged_chunks += 1
+                    processed += count
+                    tables = plan.probe_tables(accumulators) if plan is not None else None
+                    if self._should_stop(accumulators, processed, trials, plan, tables):
+                        break
+                    if plan is not None and processed < trials:
+                        plan.decide(tables, chunk_index)
+            finally:
+                # Let the speculative chunks finish before the context terminates
+                # the pool.  Pool.terminate() kills workers, and a worker killed
+                # part-way through sending its partial (about 0.8 MB for a few
+                # configurations, far above a pipe's buffer) leaves the pool's
+                # result handler blocked on the rest of the message for ever.
+                for _, handle in in_flight:
+                    handle.wait()
         return processed

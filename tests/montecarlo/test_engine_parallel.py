@@ -15,12 +15,15 @@ are covered at the bottom.
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.pool
+
 import numpy as np
 import pytest
 
 from repro.core.quorum import ReplicaConfig
 from repro.exceptions import ConfigurationError
-from repro.latency.production import lnkd_ssd, ymmr
+from repro.latency.production import lnkd_disk, lnkd_ssd, ymmr
 from repro.montecarlo.engine import (
     SAMPLE_BLOCK,
     SweepEngine,
@@ -151,6 +154,76 @@ class TestEarlyStoppingWithWorkers:
         sharded = _engine(workers=workers, **kwargs).run(3 * SAMPLE_BLOCK, 21)
         assert not sharded.stopped_early and not sharded.converged
         assert_sweeps_identical(serial, sharded)
+
+
+
+def _unfinished(pool: multiprocessing.pool.Pool) -> int:
+    """Chunks the pool has accepted but not yet sent back in full."""
+    return sum(not result.ready() for result in list(pool._cache.values()))
+
+
+@pytest.fixture
+def pool_spy(monkeypatch) -> dict[str, list[int]]:
+    """Record the pool's unfinished chunks at each submission and at terminate()."""
+    seen: dict[str, list[int]] = {"submit": [], "terminate": []}
+    apply_async = multiprocessing.pool.Pool.apply_async
+    terminate = multiprocessing.pool.Pool.terminate
+
+    def spy_apply_async(self, *args, **kwargs):
+        seen["submit"].append(_unfinished(self))
+        return apply_async(self, *args, **kwargs)
+
+    def spy_terminate(self):
+        seen["terminate"].append(_unfinished(self))
+        terminate(self)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", spy_apply_async)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", spy_terminate)
+    return seen
+
+
+class TestPoolShutdown:
+    """An early stop never terminates the pool while a chunk is in flight.
+
+    ``Pool.terminate()`` kills its workers; one killed part-way through
+    sending a partial larger than the pipe buffer (these sweeps' partials are
+    about 0.8 MB) leaves the pool's result handler waiting for ever on the
+    rest of the message, and the sweep hangs.
+    """
+
+    def test_early_stop_terminates_an_idle_pool(self, workers, pool_spy):
+        sharded = _engine(workers=workers, tolerance=0.05, min_trials=4 * SAMPLE_BLOCK).run(
+            1_000_000, 13
+        )
+        assert sharded.stopped_early
+        assert pool_spy["terminate"] == [0]
+
+    def test_adaptive_early_stop_terminates_an_idle_pool(self, workers, pool_spy):
+        sharded = SweepEngine(
+            lnkd_disk(),
+            (ReplicaConfig(3, 1, 1),),
+            times_ms=(0.0, 1000.0),
+            target_probability=0.999,
+            probe_resolution_ms=2.0,
+            chunk_size=SAMPLE_BLOCK,
+            workers=workers,
+            tolerance=0.01,
+            min_trials=2 * SAMPLE_BLOCK,
+        ).run(2_000_000, 13)
+        assert sharded.stopped_early
+        assert pool_spy["terminate"] == [0]
+
+    def test_fixed_grid_speculates_two_chunks_per_worker(self, workers, pool_spy):
+        """The window bounds what an early stop must wait for."""
+        sharded = _engine(workers=workers, tolerance=0.05, min_trials=4 * SAMPLE_BLOCK).run(
+            1_000_000, 13
+        )
+        assert sharded.stopped_early
+        assert pool_spy["submit"] and max(pool_spy["submit"]) < 2 * workers
+
+    def test_no_worker_outlives_an_early_stopped_sweep(self, workers):
+        _engine(workers=workers, tolerance=0.05, min_trials=4 * SAMPLE_BLOCK).run(1_000_000, 13)
+        assert multiprocessing.active_children() == []
 
 
 class TestStreamingSingleConfigPaths:
