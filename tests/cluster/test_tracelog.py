@@ -12,6 +12,7 @@ Pins the columnar pipeline's three contracts:
 
 from __future__ import annotations
 
+import repro.cluster.tracelog as tracelog_module
 from repro.cluster.tracelog import ColumnarTraceLog
 from repro.cluster.versioning import Version
 
@@ -229,6 +230,68 @@ class TestQueries:
         second = log.intern("c-10")
         ranks = log.writer_sort_ranks()
         assert ranks[second] < ranks[first]
+
+
+
+class TestQueryIndexing:
+    """A key's commit index is built once per log state, not once per query."""
+
+    def _filled_log(self, writes: int = 50) -> ColumnarTraceLog:
+        log = ColumnarTraceLog()
+        for index in range(writes):
+            ref = log.begin_write(index, "hot", Version(index, "c"), "c", float(index))
+            log.note_write_commit(ref, float(index) + 0.5)
+        return log
+
+    @staticmethod
+    def _count_versions_built(monkeypatch) -> list[int]:
+        """Count the ``Version`` objects the log builds; one per row an index scans."""
+        built = [0]
+
+        def counting_version(*args):
+            built[0] += 1
+            return Version(*args)
+
+        monkeypatch.setattr(tracelog_module, "Version", counting_version)
+        return built
+
+    def test_repeated_version_queries_scan_the_log_once(self, monkeypatch):
+        writes = 50
+        log = self._filled_log(writes)
+        built = self._count_versions_built(monkeypatch)
+        for probe in range(200):
+            log.latest_committed_version_before("hot", float(probe % writes))
+            log.commit_time_of("hot", Version(probe % writes, "c"))
+        # 400 queries, one index build: one Version per committed write.
+        assert built[0] == writes
+
+    def test_mutation_triggers_exactly_one_rebuild(self, monkeypatch):
+        writes = 50
+        log = self._filled_log(writes)
+        built = self._count_versions_built(monkeypatch)
+        log.latest_committed_version_before("hot", 10.0)
+        assert built[0] == writes
+        ref = log.begin_write(writes, "hot", Version(writes, "c"), "c", float(writes))
+        log.note_write_commit(ref, float(writes) + 0.5)
+        for _ in range(10):
+            assert log.latest_committed_version_before("hot", 1e9) == Version(writes, "c")
+        assert built[0] == writes + (writes + 1)
+
+    def test_committed_writes_returns_fresh_lists(self):
+        log = self._filled_log(5)
+        first = log.committed_writes("hot")
+        first.clear()  # callers may mutate their list...
+        assert len(log.committed_writes("hot")) == 5  # ...without touching the log
+
+    def test_row_orders_are_cached_until_the_next_mutation(self):
+        log = self._filled_log(5)
+        rows = log.committed_write_rows("hot")
+        assert log.committed_write_rows("hot") is rows
+        ref = log.begin_write(5, "hot", Version(5, "c"), "c", 5.0)
+        log.note_write_commit(ref, 5.5)
+        refreshed = log.committed_write_rows("hot")
+        assert refreshed is not rows
+        assert refreshed.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 class TestMergeContract:

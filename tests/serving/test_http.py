@@ -14,6 +14,10 @@ import pytest
 from repro.serving import PredictorService, make_server
 from repro.serving.http import MAX_BODY_BYTES
 
+#: Per-request client timeout: a server that never replies fails the test
+#: instead of hanging the run.
+_TIMEOUT_S = 10.0
+
 
 @pytest.fixture
 def server_url():
@@ -32,7 +36,7 @@ def server_url():
 
 def _get(url: str) -> tuple[int, dict]:
     try:
-        with urllib.request.urlopen(url) as response:
+        with urllib.request.urlopen(url, timeout=_TIMEOUT_S) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
@@ -46,7 +50,7 @@ def _post(url: str, body: dict | None = None) -> tuple[int, dict]:
         headers={"Content-Type": "application/json"},
     )
     try:
-        with urllib.request.urlopen(request) as response:
+        with urllib.request.urlopen(request, timeout=_TIMEOUT_S) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
@@ -55,7 +59,7 @@ def _post(url: str, body: dict | None = None) -> tuple[int, dict]:
 def _post_declaring_length(url: str, path: str, length: str) -> tuple[int, dict]:
     """POST with a hand-set ``Content-Length`` and no body, then await the reply."""
     address = urllib.parse.urlsplit(url)
-    connection = http.client.HTTPConnection(address.hostname, address.port, timeout=5.0)
+    connection = http.client.HTTPConnection(address.hostname, address.port, timeout=_TIMEOUT_S)
     try:
         connection.putrequest("POST", path)
         connection.putheader("Content-Length", length)
@@ -229,7 +233,7 @@ def _post_raw(url: str, data: bytes) -> tuple[int, dict]:
         url, data=data, method="POST", headers={"Content-Type": "application/json"}
     )
     try:
-        with urllib.request.urlopen(request) as response:
+        with urllib.request.urlopen(request, timeout=_TIMEOUT_S) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
