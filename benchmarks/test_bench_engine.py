@@ -23,7 +23,6 @@ import pytest
 
 from repro.core.quorum import ReplicaConfig
 from repro.core.wars import WARSModel
-from repro.kernels.numba_backend import numba_available
 from repro.latency.distributions import ExponentialLatency
 from repro.latency.production import WARSDistributions, ymmr
 from repro.montecarlo.convergence import wilson_interval
@@ -82,41 +81,6 @@ def measure_engine_vs_per_config_loop() -> dict:
     }
 
 
-def measure_kernel_backend_speedup() -> dict:
-    """Time the 8-config sweep under the numpy vs numba reduction backends.
-
-    Requires numba; callers guard with
-    :func:`repro.kernels.numba_backend.numba_available`.  The JIT is warmed
-    (compiled) before timing so the measurement is steady-state throughput,
-    not compilation.
-    """
-    distributions = ymmr()
-
-    def sweep(backend: str):
-        return SweepEngine(
-            distributions, CONFIGS, times_ms=TIMES_MS, kernel_backend=backend
-        ).run(TRIALS, 1)
-
-    reference = sweep("numpy")
-    fused = sweep("numba")  # warm: compiles the JIT kernel
-    # The backends reduce identical sampled matrices; on continuous
-    # production fits (no ties) the per-config counts must agree exactly.
-    mismatches = sum(
-        ours.consistent_counts != theirs.consistent_counts
-        for ours, theirs in zip(fused, reference)
-    )
-    numpy_seconds = _time_best_of(2, lambda: sweep("numpy"))
-    numba_seconds = _time_best_of(2, lambda: sweep("numba"))
-    return {
-        "configs": len(CONFIGS),
-        "trials": TRIALS,
-        "numpy_seconds": numpy_seconds,
-        "numba_seconds": numba_seconds,
-        "speedup": numpy_seconds / numba_seconds,
-        "count_mismatches": mismatches,
-    }
-
-
 @pytest.mark.benchmark(group="engine")
 def test_engine_speedup_over_per_config_loop():
     """The shared-sample engine beats the per-config kernel loop by >= 3x."""
@@ -130,31 +94,6 @@ def test_engine_speedup_over_per_config_loop():
     assert speedup >= 3.0, (
         f"expected >= 3x speedup for an {len(CONFIGS)}-config {TRIALS}-trial sweep, "
         f"got {speedup:.2f}x ({loop_seconds:.3f}s vs {engine_seconds:.3f}s)"
-    )
-
-
-@pytest.mark.benchmark(group="engine")
-@pytest.mark.skipif(
-    not numba_available(),
-    reason="numba is not installed; the backend falls back to numpy "
-    "(fallback behaviour is covered by tier-1 tests)",
-)
-def test_numba_kernel_speedup_on_eight_config_sweep():
-    """The fused prange JIT kernel beats the NumPy reduction by >= 2x on the
-    8-config, 100k-trial sweep — the acceptance bar for the backend — while
-    producing identical consistency counts from the shared sampled matrices."""
-    result = measure_kernel_backend_speedup()
-    print(
-        f"\nnumpy kernel: {result['numpy_seconds']:.3f}s  "
-        f"numba kernel: {result['numba_seconds']:.3f}s  "
-        f"speedup: {result['speedup']:.2f}x"
-    )
-    assert result["count_mismatches"] == 0
-    assert result["speedup"] >= 2.0, (
-        f"expected the fused numba kernel to be >= 2x faster than the NumPy "
-        f"reduction on an {len(CONFIGS)}-config {TRIALS}-trial sweep, got "
-        f"{result['speedup']:.2f}x ({result['numpy_seconds']:.3f}s vs "
-        f"{result['numba_seconds']:.3f}s)"
     )
 
 

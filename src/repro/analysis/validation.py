@@ -49,7 +49,6 @@ from repro.cluster.store import DynamoCluster
 from repro.core.quorum import ReplicaConfig
 from repro.core.wars import WARSModel
 from repro.exceptions import AnalysisError
-from repro.kernels import jit_has_run, pin_worker_threads
 from repro.latency.base import as_rng
 from repro.latency.percentiles import normalized_rmse
 from repro.latency.production import WARSDistributions
@@ -135,8 +134,7 @@ def _run_validation_block(
 ) -> tuple[list[StalenessObservation], np.ndarray, np.ndarray]:
     """Run one block's cluster workload and extract its measurements.
 
-    Module-level so both fork and spawn pools can pickle it (the engine's
-    spawn-after-JIT rule applies here too).
+    Module-level so both fork and spawn pools can pickle it.
     """
     cluster = DynamoCluster(
         config=spec.config,
@@ -209,17 +207,9 @@ def _measure_sharded(
         for size, seed in zip(sizes, seeds)
     ]
     if workers > 1 and len(specs) > 1:
-        # Same pool discipline as the sweep engine: pin per-worker thread
-        # pools, and use spawn once a JIT kernel has run in this process
-        # (numba threading layers are not fork-safe).
-        if not jit_has_run() and "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        else:
-            context = multiprocessing.get_context("spawn")
-        with context.Pool(
-            processes=min(workers, len(specs)),
-            initializer=pin_worker_threads,
-            initargs=(workers,),
+        start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        with multiprocessing.get_context(start_method).Pool(
+            processes=min(workers, len(specs))
         ) as pool:
             results = pool.map(_run_validation_block, specs, chunksize=1)
     else:

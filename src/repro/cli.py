@@ -34,13 +34,9 @@ from repro.core.predictor import PBSPredictor
 from repro.core.quorum import ReplicaConfig
 from repro.exceptions import PBSError
 from repro.experiments.registry import list_experiments, run_experiment
-from repro.kernels import registered_backends
 from repro.latency.production import PRODUCTION_FIT_NAMES, production_fit
 
 __all__ = ["main", "build_parser"]
-
-#: Names accepted by --kernel-backend: every registered backend plus "auto".
-_KERNEL_BACKEND_CHOICES: tuple[str, ...] = (*registered_backends(), "auto")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,17 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--kernel-backend",
-        default=None,
-        choices=_KERNEL_BACKEND_CHOICES,
-        help=(
-            "Monte Carlo sampling-reduction backend: 'numpy' (bit-for-bit "
-            "reference, the default), 'numba' (fused prange-parallel JIT "
-            "kernel; falls back to numpy with a warning when numba is not "
-            "installed), or 'auto' (fastest available)"
-        ),
-    )
-    run_parser.add_argument(
         "--precision", type=int, default=3, help="decimal places in printed tables"
     )
     run_parser.add_argument(
@@ -200,16 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
             "permitting — a shortfall is reported)"
         ),
     )
-    predict_parser.add_argument(
-        "--kernel-backend",
-        default=None,
-        choices=_KERNEL_BACKEND_CHOICES,
-        help=(
-            "Monte Carlo sampling-reduction backend: 'numpy' (reference, "
-            "default), 'numba' (fused JIT kernel with graceful fallback), or "
-            "'auto' (fastest available)"
-        ),
-    )
 
     serve_parser = subparsers.add_parser(
         "serve", help="run the JSON/HTTP prediction service"
@@ -277,7 +252,6 @@ def _command_run(
     tolerance: float | None = None,
     workers: int | None = None,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
     draw_batch_size: int | None = None,
     name: str | None = None,
 ) -> int:
@@ -294,8 +268,6 @@ def _command_run(
         sweep_kwargs["workers"] = workers
     if probe_resolution_ms is not None:
         sweep_kwargs["probe_resolution_ms"] = probe_resolution_ms
-    if kernel_backend is not None:
-        sweep_kwargs["kernel_backend"] = kernel_backend
     if draw_batch_size is not None:
         sweep_kwargs["draw_batch_size"] = draw_batch_size
     if name is not None:
@@ -323,7 +295,6 @@ def _command_predict(
     tolerance: float | None = None,
     workers: int | None = None,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
     mode: str = "montecarlo",
 ) -> int:
     config = ReplicaConfig(n=n, r=r, w=w)
@@ -336,7 +307,6 @@ def _command_predict(
         tolerance=tolerance,
         workers=workers if workers is not None else 1,
         probe_resolution_ms=probe_resolution_ms,
-        kernel_backend=kernel_backend,
         mode=mode,
     )
     print(f"latency environment: {fit}")
@@ -413,7 +383,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args.tolerance,
                 args.workers,
                 args.probe_resolution_ms,
-                args.kernel_backend,
                 args.draw_batch_size,
                 args.name,
             )
@@ -429,7 +398,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args.tolerance,
                 args.workers,
                 args.probe_resolution_ms,
-                args.kernel_backend,
                 args.mode,
             )
         if args.command == "serve":

@@ -25,7 +25,7 @@ Determinism contract
 
 Changing the batch size (or turning batching on) reorders which message
 receives which value — the streams are *statistically* equivalent, not
-identical, mirroring the kernel-backend methodology of ``repro.kernels``.
+identical.
 """
 
 from __future__ import annotations

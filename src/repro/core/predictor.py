@@ -255,7 +255,6 @@ class PBSPredictor:
         tolerance: float | None = None,
         workers: int = 1,
         probe_resolution_ms: float | None = None,
-        kernel_backend: str | None = None,
         mode: str = "montecarlo",
     ) -> PBSReport:
         """Produce a :class:`PBSReport` summarising latency and staleness predictions.
@@ -292,16 +291,12 @@ class PBSPredictor:
             t-visibility crossings, so both figures come from exact
             bracketing counts at this resolution instead of the histogram
             sketch.
-        kernel_backend:
-            Sampling-reduction backend from :mod:`repro.kernels` (``None``
-            is the bit-for-bit NumPy reference; ``"numba"`` the fused JIT
-            kernel, falling back to ``numpy`` when numba is missing).
         mode:
             ``"montecarlo"`` (default), ``"analytic"``, or ``"hybrid"``.
             The sweep-engine knobs (``chunk_size``, ``tolerance``,
-            ``workers``, ``probe_resolution_ms``, ``kernel_backend``) apply
-            to the Monte Carlo sweep only; in ``analytic`` mode they are
-            ignored, and in ``hybrid`` mode they tune the spot-check sweep.
+            ``workers``, ``probe_resolution_ms``) apply to the Monte Carlo
+            sweep only; in ``analytic`` mode they are ignored, and in
+            ``hybrid`` mode they tune the spot-check sweep.
 
         Returns
         -------
@@ -332,7 +327,6 @@ class PBSPredictor:
                 chunk_size=chunk_size,
                 tolerance=tolerance,
                 workers=workers,
-                kernel_backend=kernel_backend,
             )
         if trials < 100:
             raise ConfigurationError(
@@ -352,7 +346,6 @@ class PBSPredictor:
             # independently over the engine's default coarse base grid.
             target_probability=(0.99, 0.999),
             probe_resolution_ms=probe_resolution_ms,
-            kernel_backend=kernel_backend,
         )
         sweep = engine.run(trials, rng)
         summary = sweep.results[0]
@@ -387,7 +380,6 @@ class PBSPredictor:
         chunk_size: int | None,
         tolerance: float | None,
         workers: int,
-        kernel_backend: str | None,
     ) -> PBSReport:
         """Answer a report analytically; in hybrid mode, spot-check it by sampling."""
         # Imported lazily for symmetry with the engine: repro.core stays
@@ -410,7 +402,6 @@ class PBSPredictor:
                 chunk_size=chunk_size,
                 tolerance=tolerance,
                 workers=workers,
-                kernel_backend=kernel_backend,
             )
             summary = engine.run(check_trials, rng).results[0]
             disagreements = [

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from numbers import Integral
 from typing import Iterator
 
 from repro.exceptions import ConfigurationError
@@ -42,6 +43,9 @@ class ReplicaConfig:
     w: int
 
     def __post_init__(self) -> None:
+        for name, value in (("N", self.n), ("R", self.r), ("W", self.w)):
+            if not isinstance(value, Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ConfigurationError(f"replication factor N must be >= 1, got {self.n}")
         if not 1 <= self.r <= self.n:

@@ -127,10 +127,6 @@ class SLAOptimizer:
         and refines around each candidate's staleness-target crossing, so
         ``t_visibility_ms`` is resolved to this many milliseconds from exact
         bracketing counts — the quantity the SLA verdict hinges on.
-    kernel_backend:
-        Sampling-reduction backend from :mod:`repro.kernels` used by every
-        evaluation sweep (``None`` is the bit-for-bit NumPy reference;
-        ``"numba"`` the fused JIT kernel).
     analytic_predictor:
         Optional pre-built :class:`repro.analytic.AnalyticPredictor` used by
         the analytic modes when ``distributions`` is static.  Passing a warm
@@ -160,7 +156,6 @@ class SLAOptimizer:
         tolerance: float | None = None,
         workers: int = 1,
         probe_resolution_ms: float | None = None,
-        kernel_backend: str | None = None,
         mode: str = "montecarlo",
         analytic_predictor: object | None = None,
     ) -> None:
@@ -185,9 +180,6 @@ class SLAOptimizer:
         # invariant, so sharding never changes which configuration wins.
         self._workers = workers
         self._probe_resolution_ms = probe_resolution_ms
-        # Sampling-reduction backend name, forwarded to every sweep (None is
-        # the bit-for-bit NumPy reference).
-        self._kernel_backend = kernel_backend
         self._mode = mode
         if analytic_predictor is not None and callable(distributions):
             raise ConfigurationError(
@@ -344,7 +336,6 @@ class SLAOptimizer:
             # (a no-op unless probe_resolution_ms enables the adaptive grid).
             target_probability=target.consistency_probability,
             probe_resolution_ms=self._probe_resolution_ms,
-            kernel_backend=self._kernel_backend,
         )
 
     def _evaluation_from_summary(self, summary, target: SLATarget) -> ConfigurationEvaluation:

@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.quorum import ReplicaConfig
 from repro.exceptions import ConfigurationError, DistributionError
-from repro.kernels import KernelBackend, resolve_backend
+from repro.kernels import KERNEL
 from repro.latency.base import LatencyDistribution, as_rng
 from repro.latency.composite import PerReplicaLatency
 from repro.latency.production import WARSDistributions
@@ -155,26 +155,19 @@ def sample_wars_batch(
     trials: int,
     n: int,
     rng: np.random.Generator,
-    kernel_backend: str | KernelBackend | None = None,
 ) -> WARSSampleBatch:
     """Draw the four WARS delay matrices once and pre-reduce the order statistics.
 
     The sampling order (W/A pair first, then R/S pair) matches
     :meth:`WARSModel.sample` exactly, so a batch drawn from a generator in a
     given state yields the same trials the single-configuration kernel would
-    have produced from that state.
-
-    ``kernel_backend`` selects the reduction implementation from
-    :mod:`repro.kernels` (``None`` is the bit-for-bit NumPy reference).
-    Sampling itself is shared by every backend, so all backends consume
-    identical random streams; only the sort/argsort/prefix-min reduction is
-    pluggable.
+    have produced from that state.  The sort/argsort/prefix-min reduction
+    is :data:`repro.kernels.KERNEL`.
     """
     if trials < 1:
         raise ConfigurationError(f"trial count must be >= 1, got {trials}")
     if n < 1:
         raise ConfigurationError(f"replication factor must be >= 1, got {n}")
-    backend = resolve_backend(kernel_backend)
 
     write_delays, ack_delays = _sample_pair_matrices(
         distributions.w, distributions.a, trials, n, rng
@@ -184,7 +177,7 @@ def sample_wars_batch(
     )
 
     commit_latency_by_w, read_latency_by_r, freshness_margin_by_r = (
-        backend.reduce_batch(write_delays, ack_delays, read_delays, response_delays)
+        KERNEL.reduce_batch(write_delays, ack_delays, read_delays, response_delays)
     )
 
     return WARSSampleBatch(
@@ -309,7 +302,6 @@ class WARSModel:
         self,
         trials: int,
         rng: np.random.Generator | int | None = None,
-        kernel_backend: str | KernelBackend | None = None,
     ) -> WARSTrialResult:
         """Run ``trials`` simulated write/read pairs and return the batched result.
 
@@ -317,18 +309,9 @@ class WARSModel:
         delay matrices (:func:`sample_wars_batch`) reduced for this model's
         configuration.  Multi-configuration sweeps should share the batch via
         :class:`repro.montecarlo.engine.SweepEngine` instead of calling this
-        once per configuration.  ``kernel_backend`` selects the reduction
-        implementation from :mod:`repro.kernels` (default: the NumPy
-        reference).
+        once per configuration.
         """
-        generator = as_rng(rng)
-        batch = sample_wars_batch(
-            self.distributions,
-            trials,
-            self.config.n,
-            generator,
-            kernel_backend=kernel_backend,
-        )
+        batch = sample_wars_batch(self.distributions, trials, self.config.n, as_rng(rng))
         return batch.reduce(self.config)
 
     def consistency_probability(

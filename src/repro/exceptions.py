@@ -36,9 +36,5 @@ class ExperimentError(PBSError):
     """An experiment was requested that does not exist or failed to run."""
 
 
-class KernelError(PBSError):
-    """An unknown or unusable Monte Carlo kernel backend was requested."""
-
-
 class ScenarioError(PBSError):
     """A hostile-conditions scenario was mis-specified or does not exist."""

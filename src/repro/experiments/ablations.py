@@ -36,7 +36,6 @@ def _wars_predicted_t_visibility(
     trials: int = 20_000,
     workers: int = 1,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
 ) -> float:
     """WARS sweep-engine prediction to place next to the measured cluster numbers.
 
@@ -62,7 +61,6 @@ def _wars_predicted_t_visibility(
             workers=workers,
             target_probability=target,
             probe_resolution_ms=probe_resolution_ms,
-            kernel_backend=kernel_backend,
         )
         summary = engine.run(max(trials, 16 * SAMPLE_BLOCK), rng=0).results[0]
         return summary.t_visibility(target)
@@ -71,7 +69,6 @@ def _wars_predicted_t_visibility(
         (config,),
         keep_samples=True,
         workers=workers,
-        kernel_backend=kernel_backend,
     )
     return engine.run(trials, rng=0).results[0].t_visibility(target)
 
@@ -137,7 +134,6 @@ def run_read_repair_ablation(
     rng: np.random.Generator | int | None = 0,
     workers: int = 1,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
     draw_batch_size: int | None = None,
 ) -> ExperimentResult:
     """Compare observed staleness with read repair disabled (paper's model) vs enabled."""
@@ -149,7 +145,6 @@ def run_read_repair_ablation(
         distributions,
         workers=workers,
         probe_resolution_ms=probe_resolution_ms,
-        kernel_backend=kernel_backend,
     )
     rows = []
     for label, read_repair in (("disabled (paper model)", False), ("enabled", True)):
@@ -185,7 +180,6 @@ def run_fanout_ablation(
     rng: np.random.Generator | int | None = 0,
     workers: int = 1,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
     draw_batch_size: int | None = None,
 ) -> ExperimentResult:
     """Staleness is unchanged by fan-out choice; per-replica read load is not."""
@@ -197,7 +191,6 @@ def run_fanout_ablation(
         distributions,
         workers=workers,
         probe_resolution_ms=probe_resolution_ms,
-        kernel_backend=kernel_backend,
     )
     rows = []
     for label, fanout_all in (("all N replicas (Dynamo)", True), ("only R replicas (Voldemort)", False)):
@@ -230,7 +223,6 @@ def run_failure_ablation(
     rng: np.random.Generator | int | None = 0,
     workers: int = 1,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
     draw_batch_size: int | None = None,
 ) -> ExperimentResult:
     """A crashed replica effectively shrinks N, changing both staleness and availability."""
@@ -244,14 +236,12 @@ def run_failure_ablation(
         distributions,
         workers=workers,
         probe_resolution_ms=probe_resolution_ms,
-        kernel_backend=kernel_backend,
     )
     predicted_degraded = _wars_predicted_t_visibility(
         ReplicaConfig(2, 1, 1),
         distributions,
         workers=workers,
         probe_resolution_ms=probe_resolution_ms,
-        kernel_backend=kernel_backend,
     )
     rows = []
     for label, crash in (("steady state", False), ("one replica crashed", True)):

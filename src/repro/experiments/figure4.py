@@ -44,7 +44,6 @@ def run_figure4(
     tolerance: float | None = None,
     workers: int = 1,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
 ) -> ExperimentResult:
     """Probability of consistency vs t for each W:ARS rate ratio in Figure 4.
 
@@ -70,7 +69,6 @@ def run_figure4(
             workers=workers,
             target_probability=0.999,
             probe_resolution_ms=probe_resolution_ms,
-            kernel_backend=kernel_backend,
         )
         summary = engine.run(trials, rng).results[0]
         row: dict[str, object] = {"w_to_ars_ratio": label, "w_mean_ms": 1.0 / write_rate}
@@ -102,7 +100,6 @@ def run_write_variance_sweep(
     tolerance: float | None = None,
     workers: int = 1,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
 ) -> ExperimentResult:
     """Hold the mean of W fixed and vary its variance using uniform and normal shapes."""
     config = ReplicaConfig(n=3, r=1, w=1)
@@ -131,7 +128,6 @@ def run_write_variance_sweep(
             workers=workers,
             target_probability=0.999,
             probe_resolution_ms=probe_resolution_ms,
-            kernel_backend=kernel_backend,
         )
         summary = engine.run(trials, rng).results[0]
         rows.append(

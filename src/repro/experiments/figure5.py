@@ -28,7 +28,6 @@ def run_figure5(
     tolerance: float | None = None,
     workers: int = 1,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
 ) -> ExperimentResult:
     """Read/write latency percentiles per production environment and quorum size.
 
@@ -36,8 +35,7 @@ def run_figure5(
     (``pbs-repro run all``) but have no effect here: the engine runs serially
     whenever samples are retained (``keep_samples``), which this experiment
     needs for exact percentiles, and a pure latency-CDF experiment has no
-    t-visibility crossing for an adaptive grid to refine.  ``kernel_backend``
-    selects the sampling-reduction backend (:mod:`repro.kernels`).
+    t-visibility crossing for an adaptive grid to refine.
     """
     del probe_resolution_ms  # no probe grid in a latency-only sweep
     environments = {
@@ -61,7 +59,6 @@ def run_figure5(
             min_trials=min_trials_for_quantile(max(_PERCENTILES) / 100.0),
             keep_samples=True,
             workers=workers,
-            kernel_backend=kernel_backend,
         )
         sweep = engine.run(trials, rng)
         for summary in sweep:

@@ -35,7 +35,6 @@ def run_figure6(
     tolerance: float | None = None,
     workers: int = 1,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
 ) -> ExperimentResult:
     """Consistency-vs-t series for each production environment and partial quorum.
 
@@ -60,7 +59,6 @@ def run_figure6(
             workers=workers,
             target_probability=0.999,
             probe_resolution_ms=probe_resolution_ms,
-            kernel_backend=kernel_backend,
         )
         for summary in engine.run(trials, rng):
             row: dict[str, object] = {

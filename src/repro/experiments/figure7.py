@@ -31,7 +31,6 @@ def run_figure7(
     tolerance: float | None = None,
     workers: int = 1,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
 ) -> ExperimentResult:
     """Consistency-vs-t series for N in {2, 3, 5, 10} with R=W=1.
 
@@ -58,7 +57,6 @@ def run_figure7(
                     workers=workers,
                     target_probability=0.999,
                     probe_resolution_ms=probe_resolution_ms,
-                    kernel_backend=kernel_backend,
                 )
                 yield engine.run(trials, rng).results[0]
         else:
@@ -75,7 +73,6 @@ def run_figure7(
                 workers=workers,
                 target_probability=0.999,
                 probe_resolution_ms=probe_resolution_ms,
-                kernel_backend=kernel_backend,
             )
             yield from engine.run(trials, rng)
 

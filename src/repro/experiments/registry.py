@@ -85,14 +85,13 @@ def get_experiment(experiment_id: str) -> ExperimentRunner:
 #: Sweep-engine knobs that not every runner supports (closed-form and
 #: cluster-based experiments have no Monte Carlo sweep to tune).  These — and
 #: only these — are dropped silently when a runner does not accept them, so
-#: ``pbs-repro run all --tolerance ... --workers ... --probe-resolution-ms ...
-#: --kernel-backend ...`` works across heterogeneous runners.
+#: ``pbs-repro run all --tolerance ... --workers ... --probe-resolution-ms ...``
+#: works across heterogeneous runners.
 _OPTIONAL_SWEEP_KWARGS: tuple[str, ...] = (
     "chunk_size",
     "tolerance",
     "workers",
     "probe_resolution_ms",
-    "kernel_backend",
     "draw_batch_size",
     "name",
 )

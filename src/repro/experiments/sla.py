@@ -24,7 +24,6 @@ def run_sla_search(
     tolerance: float | None = None,
     workers: int = 1,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
 ) -> ExperimentResult:
     """Search (N, R, W) under two representative SLAs for LNKD-DISK and YMMR.
 
@@ -78,7 +77,6 @@ def run_sla_search(
             tolerance=tolerance,
             workers=workers,
             probe_resolution_ms=probe_resolution_ms,
-            kernel_backend=kernel_backend,
         )
         evaluations = optimizer.evaluate_all(target)
         best = optimizer.best(target)

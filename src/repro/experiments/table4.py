@@ -42,7 +42,6 @@ def run_table4(
     tolerance: float | None = None,
     workers: int = 1,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
 ) -> ExperimentResult:
     """Reproduce the Table 4 grid for all four production environments.
 
@@ -67,7 +66,6 @@ def run_table4(
         tolerance=tolerance,
         workers=workers,
         probe_resolution_ms=probe_resolution_ms,
-        kernel_backend=kernel_backend,
     )
     rows = []
     for raw in raw_rows:

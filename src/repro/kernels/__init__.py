@@ -1,88 +1,22 @@
-"""Pluggable sampling-reduction kernels for the WARS Monte Carlo hot path.
+"""The order-statistic reduction of the WARS Monte Carlo kernel.
 
-Every number the reproduction publishes reduces to one kernel: sample the
-four WARS delay matrices, sort the write round trips, argsort the read round
-trips (the responder order), and take prefix minima of the freshness margins
-in that order (:func:`repro.core.wars.sample_wars_batch`).  This package
-makes the *reduction* stage of that kernel pluggable:
-
-* the ``numpy`` backend is the reference implementation — the vectorised
-  sort/argsort/gather/prefix-min pipeline the repository has always run, and
-  the default everywhere, so results stay bit-for-bit unchanged unless a
-  caller opts in to another backend;
-* the ``numba`` backend fuses the per-trial sort, responder argsort, and
-  prefix-min reduction into a single ``prange``-parallel JIT kernel
-  (:mod:`repro.kernels.numba_backend`), validated *statistically* against
-  the reference (tie-breaking inside a trial's sort may differ, so the
-  contract is distribution equivalence, not bitwise equality — see
-  ``tests/montecarlo/test_kernels.py``).
-
-Distribution sampling stays in NumPy for every backend: the delay matrices
-are drawn once per chunk by the shared front half of ``sample_wars_batch``,
-so all backends consume identical random streams and differ only in how the
-order statistics are reduced.
-
-Selection
----------
-Backends are chosen by name through the ``kernel_backend=`` knob threaded
-from the CLI down to :class:`repro.montecarlo.engine.SweepEngine`:
-
-* ``None`` / ``"numpy"`` — the reference backend (default);
-* ``"numba"`` — the JIT backend; falls back to ``numpy`` with a warning when
-  numba is not installed (the container may not ship it);
-* ``"auto"`` — the fastest available backend (``numba`` when importable,
-  else ``numpy``).
-
-Unknown names raise :class:`repro.exceptions.KernelError` listing the
-registered backends.
-
-Process/thread composition
---------------------------
-The JIT kernel parallelises *within* a process while the sweep engine shards
-chunks *across* processes; run naively together they oversubscribe every
-core.  :func:`pin_worker_threads` — called from the engine's worker-pool
-initializer — pins each worker's BLAS/OpenMP/numba thread pools to its fair
-share of the machine so the two levels of parallelism compose.
+:func:`repro.core.wars.sample_wars_batch` draws the four WARS delay matrices
+and hands them to :data:`KERNEL` once per batch.  The reduction sorts the
+write round trips, orders replicas by read round trip and takes prefix
+minima of the freshness margins ``W - R`` in that order.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Protocol
-
 import numpy as np
 
-from repro.exceptions import KernelError
+from repro.exceptions import ConfigurationError
 
-__all__ = [
-    "KernelBackend",
-    "register_backend",
-    "registered_backends",
-    "available_backends",
-    "resolve_backend",
-    "is_registry_instance",
-    "jit_has_run",
-    "note_jit_ran",
-    "pin_worker_threads",
-]
+__all__ = ["NumpyKernelBackend", "KERNEL", "resolve_backend"]
 
 
-class KernelBackend(Protocol):
-    """The reduction stage of the WARS sampling kernel.
-
-    A backend receives the four freshly sampled delay matrices — all of
-    shape ``(trials, n)`` — and returns the three pre-reduced order-statistic
-    matrices :class:`repro.core.wars.WARSSampleBatch` stores:
-
-    ``commit_latency_by_w``
-        Per-trial write round trips ``W + A`` sorted ascending along axis 1.
-    ``read_latency_by_r``
-        Per-trial read round trips ``R + S`` in responder (ascending) order.
-    ``freshness_margin_by_r``
-        Prefix minima of ``W - R`` in responder order along axis 1.
-    """
-
-    name: str
+class NumpyKernelBackend:
+    """NumPy sort + stable argsort + prefix minima."""
 
     def reduce_batch(
         self,
@@ -91,181 +25,44 @@ class KernelBackend(Protocol):
         read_delays: np.ndarray,
         response_delays: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reduce the sampled delay matrices to the batch's order statistics."""
-        ...  # pragma: no cover - protocol
+        trials = write_delays.shape[0]
+
+        # Sorting the write round trips once exposes the commit latency for
+        # every write quorum size w as column w-1.
+        write_round_trips = write_delays + ack_delays
+        commit_latency_by_w = np.sort(write_round_trips, axis=1)
+
+        # The responder order (ascending R + S) is shared by every read
+        # quorum size; the r-th smallest round trip is column r-1 of the
+        # sorted matrix.
+        read_round_trips = read_delays + response_delays
+        responder_order = np.argsort(read_round_trips, axis=1, kind="stable")
+        row_index = np.arange(trials)[:, None]
+        read_latency_by_r = read_round_trips[row_index, responder_order]
+
+        # Replica i (among the first r responders) returns fresh data iff
+        # commit_latency + t + R[i] >= W[i]; a prefix minimum over (W - R) in
+        # responder order yields min over the first r responders as column
+        # r-1.
+        margins = (write_delays - read_delays)[row_index, responder_order]
+        freshness_margin_by_r = np.minimum.accumulate(margins, axis=1)
+
+        return commit_latency_by_w, read_latency_by_r, freshness_margin_by_r
 
 
-#: name -> zero-argument factory returning a backend instance, or ``None``
-#: when the backend's runtime dependency is missing on this machine.
-_REGISTRY: dict[str, Callable[[], "KernelBackend | None"]] = {}
-
-#: Resolved backend instances, one per name (JIT state is per-process and
-#: compilation is expensive, so backends are singletons).
-_INSTANCES: dict[str, KernelBackend] = {}
+#: The reduction :func:`repro.core.wars.sample_wars_batch` calls.
+KERNEL = NumpyKernelBackend()
 
 
-def register_backend(
-    name: str, factory: Callable[[], "KernelBackend | None"]
-) -> None:
-    """Register a backend factory under a stable name.
+def resolve_backend(spec: None = None) -> NumpyKernelBackend:
+    """Return :data:`KERNEL`; any ``spec`` other than ``None`` is an error.
 
-    The factory runs at resolution time and may return ``None`` to signal
-    that the backend cannot run on this machine (missing optional
-    dependency); registration itself is unconditional so the name always
-    appears in :func:`registered_backends` and test parametrisations.
+    Its only caller is the layer tracing in ``perfbench/layers.py``, which
+    wraps ``type(resolve_backend(None)).reduce_batch`` as the
+    ``kernels.reduce`` span.
     """
-    if name in _REGISTRY:
-        raise KernelError(f"kernel backend {name!r} is already registered")
-    _REGISTRY[name] = factory
-
-
-def registered_backends() -> tuple[str, ...]:
-    """All registered backend names, importable or not, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def available_backends() -> tuple[str, ...]:
-    """The registered backends that can actually run on this machine."""
-    return tuple(name for name in _REGISTRY if _instantiate(name) is not None)
-
-
-def _instantiate(name: str) -> KernelBackend | None:
-    if name not in _INSTANCES:
-        backend = _REGISTRY[name]()
-        if backend is None:
-            return None
-        _INSTANCES[name] = backend
-    return _INSTANCES[name]
-
-
-def resolve_backend(
-    spec: "str | KernelBackend | None" = None,
-) -> KernelBackend:
-    """Resolve a backend name (or pass an instance through) to an instance.
-
-    ``None`` and ``"numpy"`` return the reference backend.  ``"auto"``
-    returns the fastest available backend.  Requesting ``"numba"`` on a
-    machine without numba falls back to the reference backend with a
-    :class:`RuntimeWarning` — an explicit request for speed should not turn
-    into a crash on a box that lacks the optional dependency.  Unknown names
-    raise :class:`~repro.exceptions.KernelError`.
-    """
-    if spec is None:
-        spec = "numpy"
-    if not isinstance(spec, str):
-        return spec
-    if spec == "auto":
-        for name in reversed(tuple(_REGISTRY)):  # prefer later, faster registrations
-            backend = _instantiate(name)
-            if backend is not None:
-                return backend
-        raise KernelError("no kernel backend is available")  # pragma: no cover
-    if spec not in _REGISTRY:
-        known = ", ".join(sorted(_REGISTRY) + ["auto"])
-        raise KernelError(
-            f"unknown kernel backend {spec!r}; registered backends: {known}"
+    if spec is not None:
+        raise ConfigurationError(
+            f"the NumPy reduction is the only Monte Carlo kernel; got {spec!r}"
         )
-    backend = _instantiate(spec)
-    if backend is None:
-        import warnings
-
-        warnings.warn(
-            f"kernel backend {spec!r} is not available on this machine "
-            "(optional dependency missing); falling back to the 'numpy' "
-            "reference backend",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        fallback = _instantiate("numpy")
-        assert fallback is not None
-        return fallback
-    return backend
-
-
-def is_registry_instance(backend: KernelBackend) -> bool:
-    """True when ``backend`` is the registry's own singleton for its name.
-
-    The sweep engine's worker processes reconstruct backends by *name*, so
-    sharding is only sound for instances the registry itself produced: an
-    ad-hoc instance — even one shadowing a registered name — would silently
-    be replaced by the builtin implementation in every worker chunk while
-    the coordinator's inline chunk used the custom one.
-    """
-    return _INSTANCES.get(getattr(backend, "name", "")) is backend
-
-
-#: True once a (parallel) JIT kernel has executed in this process.  Consulted
-#: by the sweep engine's pool-context choice: numba's threading layers are
-#: not fork-safe, so once a JIT kernel has run — under *any* engine instance
-#: — forking workers is off the table for the rest of the process.
-_JIT_HAS_RUN: bool = False
-
-
-def note_jit_ran() -> None:
-    """Record that a JIT kernel executed in this process (see :func:`jit_has_run`)."""
-    global _JIT_HAS_RUN
-    _JIT_HAS_RUN = True
-
-
-def jit_has_run() -> bool:
-    """True once any JIT kernel has executed in this process."""
-    return _JIT_HAS_RUN
-
-
-#: Environment variables the common BLAS/OpenMP runtimes consult for their
-#: pool sizes.  Set before the pools first spin up (spawn-start workers, or
-#: fork-start workers whose parent never ran a threaded region), they cap
-#: per-process threading at the worker's fair share of the machine.
-_THREAD_ENV_VARS: tuple[str, ...] = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def pin_worker_threads(workers: int, cpu_count: int | None = None) -> int:
-    """Pin this process's kernel-level thread pools to its fair core share.
-
-    Called from the sweep engine's worker-pool initializer so that
-    process-level sharding (``workers`` processes) and kernel-level
-    parallelism (the numba backend's ``prange``, BLAS threads) compose
-    instead of oversubscribing: each of ``workers`` processes gets
-    ``max(1, cpu_count // workers)`` threads.
-
-    Best-effort by design: environment variables only bind pools that have
-    not started yet, so already-initialised runtimes are additionally capped
-    through their APIs where one exists (``numba.set_num_threads``,
-    ``threadpoolctl`` when installed).  Returns the per-process thread count.
-    """
-    if workers < 1:
-        raise KernelError(f"worker count must be >= 1, got {workers}")
-    total = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    threads = max(1, total // max(workers, 1))
-    for variable in _THREAD_ENV_VARS:
-        os.environ[variable] = str(threads)
-    try:  # already-loaded BLAS pools ignore the env; cap them via their API.
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=threads)
-    except ImportError:
-        pass
-    try:
-        import numba
-
-        numba.set_num_threads(max(1, min(threads, numba.get_num_threads())))
-    except ImportError:
-        pass
-    return threads
-
-
-def _register_builtin_backends() -> None:
-    from repro.kernels.numba_backend import make_numba_backend
-    from repro.kernels.numpy_backend import NumpyKernelBackend
-
-    register_backend("numpy", NumpyKernelBackend)
-    register_backend("numba", make_numba_backend)
-
-
-_register_builtin_backends()
+    return KERNEL

@@ -60,6 +60,13 @@ _ACKLAM_D = (
 _ACKLAM_P_LOW = 0.02425
 
 
+def _require_finite(family: str, **parameters: float) -> None:
+    """Raise :class:`DistributionError` if any parameter is NaN or infinite."""
+    for name, value in parameters.items():
+        if not math.isfinite(value):
+            raise DistributionError(f"{family} {name} must be finite, got {value}")
+
+
 def standard_normal_ppf(q: float) -> float:
     """Inverse CDF of the standard normal distribution (the probit function).
 
@@ -116,6 +123,7 @@ class ExponentialLatency(LatencyDistribution):
     name: str = "exponential"
 
     def __post_init__(self) -> None:
+        _require_finite("exponential", rate=self.rate)
         if self.rate <= 0:
             raise DistributionError(f"exponential rate must be positive, got {self.rate}")
 
@@ -161,6 +169,7 @@ class ParetoLatency(LatencyDistribution):
     name: str = "pareto"
 
     def __post_init__(self) -> None:
+        _require_finite("pareto", xm=self.xm, alpha=self.alpha)
         if self.xm <= 0:
             raise DistributionError(f"pareto scale xm must be positive, got {self.xm}")
         if self.alpha <= 0:
@@ -205,6 +214,7 @@ class UniformLatency(LatencyDistribution):
     name: str = "uniform"
 
     def __post_init__(self) -> None:
+        _require_finite("uniform", low=self.low, high=self.high)
         if self.low < 0:
             raise DistributionError(f"uniform low bound must be non-negative, got {self.low}")
         if self.high <= self.low:
@@ -254,6 +264,7 @@ class NormalLatency(LatencyDistribution):
     name: str = "normal"
 
     def __post_init__(self) -> None:
+        _require_finite("normal", mu=self.mu, sigma=self.sigma)
         if self.sigma < 0:
             raise DistributionError(f"normal sigma must be non-negative, got {self.sigma}")
 
@@ -311,6 +322,7 @@ class LogNormalLatency(LatencyDistribution):
     name: str = "lognormal"
 
     def __post_init__(self) -> None:
+        _require_finite("lognormal", mu=self.mu, sigma=self.sigma)
         if self.sigma < 0:
             raise DistributionError(f"lognormal sigma must be non-negative, got {self.sigma}")
 
@@ -368,6 +380,7 @@ class ConstantLatency(LatencyDistribution):
     name: str = "constant"
 
     def __post_init__(self) -> None:
+        _require_finite("constant", value=self.value)
         if self.value < 0:
             raise DistributionError(f"constant latency must be non-negative, got {self.value}")
 
@@ -398,6 +411,7 @@ class ShiftedLatency(LatencyDistribution):
     name: str = "shifted"
 
     def __post_init__(self) -> None:
+        _require_finite("shift", offset=self.offset)
         if self.offset < 0:
             raise DistributionError(f"shift offset must be non-negative, got {self.offset}")
 
@@ -426,6 +440,7 @@ class ScaledLatency(LatencyDistribution):
     name: str = "scaled"
 
     def __post_init__(self) -> None:
+        _require_finite("scale", factor=self.factor)
         if self.factor <= 0:
             raise DistributionError(f"scale factor must be positive, got {self.factor}")
 

@@ -137,17 +137,6 @@ observation counts.  Refined probes that fell out of the bracket during
 bisection have served their purpose and do not gate stopping; this is what
 lets an adaptive sweep converge in fewer trials than a fixed grid of equal
 resolution, whose worst probe (the one nearest p = 0.5) sets the budget.
-
-Kernel backends
----------------
-The per-chunk sampling reduction (sort + responder argsort + prefix-min) is
-pluggable through ``kernel_backend=`` and :mod:`repro.kernels`: ``"numpy"``
-is the bit-for-bit reference and the default, ``"numba"`` fuses the
-reduction into one ``prange``-parallel JIT kernel (validated statistically
-against the reference), and ``"auto"`` picks the fastest available.  The
-worker-pool initializer pins each process's BLAS/OpenMP/numba thread pools
-to its fair core share before resolving the backend, so chunk sharding and
-kernel parallelism compose.
 """
 
 from __future__ import annotations
@@ -164,13 +153,6 @@ import numpy as np
 from repro.core.quorum import ReplicaConfig
 from repro.core.wars import WARSTrialResult, sample_wars_batch
 from repro.exceptions import AnalysisError, ConfigurationError
-from repro.kernels import (
-    KernelBackend,
-    is_registry_instance,
-    jit_has_run,
-    pin_worker_threads,
-    resolve_backend,
-)
 from repro.latency.production import WARSDistributions
 from repro.montecarlo.convergence import ProbabilityEstimate, wilson_interval
 
@@ -769,9 +751,6 @@ class SweepResult:
     #: Adaptive refinement knobs the sweep ran with (``None``/empty when off).
     probe_resolution_ms: float | None = None
     target_probabilities: tuple[float, ...] = ()
-    #: The sampling-reduction kernel backend the sweep ran on (after
-    #: auto-detection and fallback), e.g. ``"numpy"`` or ``"numba"``.
-    kernel_backend: str = "numpy"
 
     @property
     def stopped_early(self) -> bool:
@@ -1207,36 +1186,22 @@ class _WorkerSpec:
     templates: tuple[_ConfigAccumulator, ...]
     entropy: object
     total_blocks: int
-    #: Resolved kernel-backend *name* (never the instance: JIT state is
-    #: per-process, so each worker re-resolves by name after the pool
-    #: initializer pins its thread pools).
-    kernel_backend: str = "numpy"
-    #: The pool's worker count, for per-process thread pinning.
-    workers: int = 1
 
 
-#: Per-process worker state: (spec, per-replication-factor block seeds,
-#: resolved kernel backend).
-_WORKER_STATE: tuple[_WorkerSpec, dict, KernelBackend] | None = None
+#: Per-process worker state: (spec, per-replication-factor block seeds).
+_WORKER_STATE: tuple[_WorkerSpec, dict] | None = None
 
 
 def _init_worker(spec: _WorkerSpec) -> None:
-    """Pool initializer: pin thread pools, cache the spec, re-derive seeds.
-
-    Thread pinning runs first — before the kernel backend is resolved — so a
-    JIT backend's parallel runtime starts up already capped at this worker's
-    fair core share and process-level sharding composes with kernel-level
-    parallelism instead of oversubscribing the machine.
-    """
+    """Pool initializer: cache the spec and re-derive the block seeds."""
     global _WORKER_STATE
-    pin_worker_threads(spec.workers)
     block_seeds = {
         n: np.random.SeedSequence(
             entropy=spec.entropy, spawn_key=(n,)
         ).spawn(spec.total_blocks)
         for n, _ in spec.groups
     }
-    _WORKER_STATE = (spec, block_seeds, resolve_backend(spec.kernel_backend))
+    _WORKER_STATE = (spec, block_seeds)
 
 
 def _worker_run_chunk(task: tuple[int, int, tuple[float, ...]]) -> list[_ConfigAccumulator]:
@@ -1248,7 +1213,7 @@ def _worker_run_chunk(task: tuple[int, int, tuple[float, ...]]) -> list[_ConfigA
     counted over the same trials.
     """
     assert _WORKER_STATE is not None, "worker task ran before the pool initializer"
-    spec, block_seeds, kernel = _WORKER_STATE
+    spec, block_seeds = _WORKER_STATE
     start, count, extra_probes = task
     accumulators = [template.spawn_empty() for template in spec.templates]
     if extra_probes:
@@ -1262,7 +1227,6 @@ def _worker_run_chunk(task: tuple[int, int, tuple[float, ...]]) -> list[_ConfigA
         accumulators,
         start,
         count,
-        kernel=kernel,
     )
     return accumulators
 
@@ -1275,15 +1239,13 @@ def _accumulate_seeded_span(
     accumulators: Sequence[_ConfigAccumulator],
     start: int,
     count: int,
-    kernel: KernelBackend | None = None,
 ) -> None:
     """Accumulate the seed-mode sampling blocks covering ``[start, start + count)``.
 
     ``start`` must be block-aligned (chunk sizes are rounded to multiples of
     :data:`SAMPLE_BLOCK`).  Shared by the serial loop, the coordinator's
     first chunk, and the worker processes, so every execution mode samples
-    bit-for-bit identical trials for a given span.  ``kernel`` selects the
-    sampling-reduction backend; sampling streams are backend-independent.
+    bit-for-bit identical trials for a given span.
     """
     for n, config_indices in groups:
         offset = 0
@@ -1291,9 +1253,7 @@ def _accumulate_seeded_span(
             begin = start + offset
             rows = min(SAMPLE_BLOCK, count - offset)
             generator = np.random.default_rng(block_seeds[n][begin // SAMPLE_BLOCK])
-            batch = sample_wars_batch(
-                distributions, rows, n, generator, kernel_backend=kernel
-            )
+            batch = sample_wars_batch(distributions, rows, n, generator)
             for index in config_indices:
                 accumulators[index].update(batch.reduce(configs[index]))
             offset += rows
@@ -1367,21 +1327,6 @@ class SweepEngine:
         early-stopping gate, when a ``tolerance`` is set, does wait for it),
         and a crossing beyond the base grid span is never bracketed — check
         :meth:`ConfigSweepResult.t_visibility_bracket` for what was achieved.
-    kernel_backend:
-        Sampling-reduction backend from :mod:`repro.kernels`: ``None`` or
-        ``"numpy"`` for the bit-for-bit reference, ``"numba"`` for the fused
-        ``prange``-parallel JIT kernel (falls back to ``numpy`` with a
-        warning when numba is missing), ``"auto"`` for the fastest available.
-        Sampling streams are backend-independent; the JIT backend is
-        validated statistically against the reference, so seeded results may
-        differ from ``numpy`` only in sort tie-breaking (measure-zero under
-        continuous latency distributions).  Worker processes re-resolve the
-        backend by name after pinning their thread pools, so kernel-level
-        and process-level parallelism compose.  Note: once a JIT kernel has
-        executed in the process, sharded runs use *spawn* worker pools
-        (numba's threading layers are not fork-safe), so scripts combining
-        ``kernel_backend="numba"``/``"auto"`` with ``workers > 1`` need the
-        standard ``if __name__ == "__main__":`` guard even on Linux.
     """
 
     def __init__(
@@ -1399,7 +1344,6 @@ class SweepEngine:
         workers: int = 1,
         target_probability: float | Sequence[float] | None = None,
         probe_resolution_ms: float | None = None,
-        kernel_backend: str | KernelBackend | None = None,
     ) -> None:
         self._configs = tuple(configs)
         if not self._configs:
@@ -1462,12 +1406,6 @@ class SweepEngine:
         self._histogram_bins = histogram_bins
         self._keep_samples = keep_samples
         self._workers = workers
-        # Resolved once at construction: validates the name, performs the
-        # auto-detection / missing-dependency fallback (and its one warning)
-        # up front, and gives the serial loop a ready instance.  Workers
-        # receive only the resolved *name* and re-resolve after thread
-        # pinning.
-        self._kernel = resolve_backend(kernel_backend)
         # Group configuration indices by replication factor, preserving the
         # first-seen group order (which fixes the RNG consumption order).
         groups: dict[int, list[int]] = {}
@@ -1525,12 +1463,6 @@ class SweepEngine:
             and sequential is None
             and not self._keep_samples
             and trials > self._chunk_size
-            # Workers re-resolve the backend by *name*, so sharding is only
-            # sound for the registry's own instances: an ad-hoc instance —
-            # even one shadowing a registered name — would be silently
-            # replaced by the builtin implementation in every worker chunk.
-            # Such sweeps run serially instead.
-            and is_registry_instance(self._kernel)
         )
         if shardable:
             processed = self._run_sharded(
@@ -1570,7 +1502,6 @@ class SweepEngine:
             workers=self._workers,
             probe_resolution_ms=self._probe_resolution_ms,
             target_probabilities=self._targets,
-            kernel_backend=self._kernel.name,
         )
 
     def _should_stop(
@@ -1623,13 +1554,7 @@ class SweepEngine:
             count = min(self._chunk_size, trials - processed)
             if sequential is not None:
                 for n, config_indices in self._groups:
-                    batch = sample_wars_batch(
-                        self._distributions,
-                        count,
-                        n,
-                        sequential,
-                        kernel_backend=self._kernel,
-                    )
+                    batch = sample_wars_batch(self._distributions, count, n, sequential)
                     for index in config_indices:
                         accumulators[index].update(batch.reduce(self._configs[index]))
             else:
@@ -1641,7 +1566,6 @@ class SweepEngine:
                     accumulators,
                     processed,
                     count,
-                    kernel=self._kernel,
                 )
             processed += count
             tables = plan.probe_tables(accumulators) if plan is not None else None
@@ -1673,7 +1597,6 @@ class SweepEngine:
             accumulators,
             0,
             count,
-            kernel=self._kernel,
         )
         processed = count
         tables = plan.probe_tables(accumulators) if plan is not None else None
@@ -1693,8 +1616,6 @@ class SweepEngine:
             templates=tuple(accumulator.spawn_empty() for accumulator in accumulators),
             entropy=root_entropy,
             total_blocks=total_blocks,
-            kernel_backend=self._kernel.name,
-            workers=self._workers,
         )
         # An adaptive run may only speculate REFINE_ACTIVATION_LAG + 1 chunks
         # past the merge frontier: chunk j's probe set depends on decisions
@@ -1704,21 +1625,11 @@ class SweepEngine:
         # coordinator merges.  Either way the window is small, because every
         # speculative chunk is finished (and discarded) on an early stop.
         window = 2 * self._workers if plan is None else REFINE_ACTIVATION_LAG + 1
-        # Fork keeps pool start-up negligible where available — but only
-        # while no parallel JIT kernel has ever executed in this process:
-        # numba's threading layers are not fork-safe (an OpenMP layer
-        # terminates or deadlocks forked children), and once a layer is live
-        # — whether from this engine's inline first chunk or from any
-        # earlier run in the same process — forking is off the table.
-        # Such sweeps get a spawn pool instead; the worker entry points are
-        # module-level and the spec picklable, so spawn works identically,
-        # just with a slower start (the JIT recompiles from its on-disk
-        # cache in each worker).
-        if not jit_has_run() and "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        else:
-            context = multiprocessing.get_context("spawn")
-        with context.Pool(
+        # Fork keeps pool start-up negligible where the platform offers it;
+        # the worker entry points are module-level and the spec picklable, so
+        # spawn works identically elsewhere.
+        start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        with multiprocessing.get_context(start_method).Pool(
             processes=min(self._workers, len(tasks)),
             initializer=_init_worker,
             initargs=(spec,),

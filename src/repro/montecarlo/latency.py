@@ -117,7 +117,6 @@ def operation_latency_cdf(
     streaming: bool = False,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
-    kernel_backend: str | None = None,
 ) -> OperationLatencyCDF | StreamingOperationLatency:
     """Simulate operation latencies for one configuration.
 
@@ -127,8 +126,7 @@ def operation_latency_cdf(
     ``chunk_size`` pieces — bounded memory for arbitrarily large trial
     counts, optionally sharded across ``workers`` processes — and the result
     is a :class:`StreamingOperationLatency` answering the same queries from
-    histogram sketches.  ``kernel_backend`` selects the sampling-reduction
-    backend from :mod:`repro.kernels` on either path.
+    histogram sketches.
     """
     if trials < 1:
         raise ConfigurationError(f"trial count must be >= 1, got {trials}")
@@ -138,7 +136,6 @@ def operation_latency_cdf(
             (config,),
             chunk_size=chunk_size,
             workers=workers,
-            kernel_backend=kernel_backend,
         )
         summary = engine.run(trials, rng).results[0]
         return StreamingOperationLatency(
@@ -148,7 +145,7 @@ def operation_latency_cdf(
             _summary=summary,
         )
     model = WARSModel(distributions=distributions, config=config)
-    result = model.sample(trials, rng, kernel_backend=kernel_backend)
+    result = model.sample(trials, rng)
     return OperationLatencyCDF(
         config=config,
         label=label or f"{distributions.name} {config.label()}",

@@ -242,7 +242,6 @@ def visibility_curve(
     workers: int = 1,
     target_probability: float = 0.999,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
 ) -> TVisibilityCurve:
     """Estimate the probability-of-consistency curve for one configuration.
 
@@ -278,10 +277,6 @@ def visibility_curve(
         ``t_visibility(target_probability)`` crossing until it is bracketed
         to this resolution.  The returned curve's grid is then the union of
         ``times_ms`` and the refined probes.
-    kernel_backend:
-        Sampling-reduction backend from :mod:`repro.kernels` (``None`` is
-        the bit-for-bit NumPy reference; ``"numba"`` the fused JIT kernel;
-        ``"auto"`` the fastest available).
 
     Returns
     -------
@@ -306,7 +301,6 @@ def visibility_curve(
             workers=workers,
             target_probability=target_probability,
             probe_resolution_ms=probe_resolution_ms,
-            kernel_backend=kernel_backend,
         )
         summary = engine.run(trials, rng).results[0]
         curve_times, curve_probabilities, probe_trials, probe_successes = _curve_points(
@@ -322,7 +316,7 @@ def visibility_curve(
             probe_successes=probe_successes,
         )
     model = WARSModel(distributions=distributions, config=config)
-    result = model.sample(trials, rng, kernel_backend=kernel_backend)
+    result = model.sample(trials, rng)
     curve = result.consistency_curve(times_ms)
     counts = result.consistency_counts([t for t, _ in curve])
     return TVisibilityCurve(
@@ -346,7 +340,6 @@ def visibility_curves(
     workers: int = 1,
     target_probability: float = 0.999,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
 ) -> list[TVisibilityCurve]:
     """Curves for several configurations sharing one latency environment.
 
@@ -382,9 +375,6 @@ def visibility_curves(
     probe_resolution_ms:
         Enable adaptive refinement; each returned curve's grid becomes the
         union of ``times_ms`` and that configuration's refined probes.
-    kernel_backend:
-        Sampling-reduction backend from :mod:`repro.kernels` (``None`` is
-        the bit-for-bit NumPy reference).
 
     Returns
     -------
@@ -410,7 +400,6 @@ def visibility_curves(
         workers=workers,
         target_probability=target_probability,
         probe_resolution_ms=probe_resolution_ms,
-        kernel_backend=kernel_backend,
     )
     sweep = engine.run(trials, rng)
     curves = []
@@ -443,7 +432,6 @@ def t_visibility_table(
     tolerance: float | None = None,
     workers: int = 1,
     probe_resolution_ms: float | None = None,
-    kernel_backend: str | None = None,
 ) -> list[dict[str, object]]:
     """Build Table 4 style rows: per (environment, config), tail latencies and t-visibility.
 
@@ -483,9 +471,6 @@ def t_visibility_table(
         and refine around each configuration's crossing, so the
         ``t_visibility_ms`` column is resolved to this many milliseconds
         from exact bracketing counts instead of the histogram sketch.
-    kernel_backend:
-        Sampling-reduction backend from :mod:`repro.kernels` (``None`` is
-        the bit-for-bit NumPy reference).
 
     Returns
     -------
@@ -523,7 +508,6 @@ def t_visibility_table(
             # otherwise the target is informational and no probes are grown.
             target_probability=target_probability,
             probe_resolution_ms=probe_resolution_ms,
-            kernel_backend=kernel_backend,
         )
         sweep = engine.run(trials, rng)
         for summary in sweep:

@@ -51,7 +51,6 @@ from repro.cluster.store import DynamoCluster
 from repro.core.quorum import ReplicaConfig
 from repro.core.wars import WARSModel
 from repro.exceptions import PBSError, ScenarioError
-from repro.kernels import jit_has_run, pin_worker_threads
 from repro.latency.percentiles import normalized_rmse
 from repro.scenarios.registry import Scenario, ScenarioContext, get_scenario
 
@@ -230,16 +229,9 @@ def _measure_scenario(
         for size, seed in zip(sizes, seeds)
     ]
     if workers > 1 and len(specs) > 1:
-        # Same pool discipline as the validation experiment: pinned worker
-        # thread pools, fork unless a JIT kernel has already run.
-        if not jit_has_run() and "fork" in multiprocessing.get_all_start_methods():
-            pool_context = multiprocessing.get_context("fork")
-        else:
-            pool_context = multiprocessing.get_context("spawn")
-        with pool_context.Pool(
-            processes=min(workers, len(specs)),
-            initializer=pin_worker_threads,
-            initargs=(workers,),
+        start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        with multiprocessing.get_context(start_method).Pool(
+            processes=min(workers, len(specs))
         ) as pool:
             results = pool.map(_run_scenario_block, specs, chunksize=1)
     else:

@@ -18,8 +18,8 @@ Sharded runs resolve scenarios *by name* inside worker processes, so a
 scenario that should run under ``workers > 1`` must be registered at import
 time of :mod:`repro.scenarios` (the built-in definitions are; ad-hoc
 scenarios registered in a script work serially and under fork pools, but a
-spawn pool — used once a JIT kernel has run — re-imports and would not see
-them).
+spawn pool — used where the platform has no fork — re-imports and would not
+see them).
 """
 
 from __future__ import annotations

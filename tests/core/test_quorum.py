@@ -18,6 +18,15 @@ class TestReplicaConfigValidation:
         with pytest.raises(ConfigurationError):
             ReplicaConfig(n=n, r=r, w=w)
 
+    @pytest.mark.parametrize(
+        "n,r,w", [(3, 1, 1.5), (3, 1.5, 1), (3.5, 1, 1), (3.0, 1, 1), (3, 2.0, 1)]
+    )
+    def test_non_integer_sizes_rejected(self, n, r, w):
+        """Fractional sizes used to pass the range checks and fail later with
+        an IndexError in the batch reduction."""
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            ReplicaConfig(n=n, r=r, w=w)
+
     def test_is_hashable_and_comparable(self):
         assert ReplicaConfig(3, 1, 1) == ReplicaConfig(3, 1, 1)
         assert len({ReplicaConfig(3, 1, 1), ReplicaConfig(3, 1, 1)}) == 1

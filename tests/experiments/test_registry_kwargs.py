@@ -34,19 +34,13 @@ EXPECTED_OPTIONAL_KWARGS: dict[str, set[str]] = {
     "table1-2-3": set(),
     "table3-refit": set(),
     # Monte Carlo sweep experiments: full sweep-engine surface.
-    "figure4": {"chunk_size", "tolerance", "workers", "probe_resolution_ms", "kernel_backend"},
-    "figure5": {"chunk_size", "tolerance", "workers", "probe_resolution_ms", "kernel_backend"},
-    "figure6": {"chunk_size", "tolerance", "workers", "probe_resolution_ms", "kernel_backend"},
-    "figure7": {"chunk_size", "tolerance", "workers", "probe_resolution_ms", "kernel_backend"},
-    "table4": {"chunk_size", "tolerance", "workers", "probe_resolution_ms", "kernel_backend"},
-    "sla": {"chunk_size", "tolerance", "workers", "probe_resolution_ms", "kernel_backend"},
-    "section5.3-variance": {
-        "chunk_size",
-        "tolerance",
-        "workers",
-        "probe_resolution_ms",
-        "kernel_backend",
-    },
+    "figure4": {"chunk_size", "tolerance", "workers", "probe_resolution_ms"},
+    "figure5": {"chunk_size", "tolerance", "workers", "probe_resolution_ms"},
+    "figure6": {"chunk_size", "tolerance", "workers", "probe_resolution_ms"},
+    "figure7": {"chunk_size", "tolerance", "workers", "probe_resolution_ms"},
+    "table4": {"chunk_size", "tolerance", "workers", "probe_resolution_ms"},
+    "sla": {"chunk_size", "tolerance", "workers", "probe_resolution_ms"},
+    "section5.3-variance": {"chunk_size", "tolerance", "workers", "probe_resolution_ms"},
     # Cluster-simulator experiments: sharded blocks + batched network draws.
     "validation": {"workers", "draw_batch_size"},
     "scenario": {"workers", "draw_batch_size", "name"},
@@ -54,9 +48,9 @@ EXPECTED_OPTIONAL_KWARGS: dict[str, set[str]] = {
     # The adaptive-recovery loop is serial by design (trace logs are
     # harvested block by block), so it threads only the draw knob.
     "recovery": {"draw_batch_size", "name"},
-    "ablation-read-repair": {"workers", "draw_batch_size", "probe_resolution_ms", "kernel_backend"},
-    "ablation-read-fanout": {"workers", "draw_batch_size", "probe_resolution_ms", "kernel_backend"},
-    "ablation-failures": {"workers", "draw_batch_size", "probe_resolution_ms", "kernel_backend"},
+    "ablation-read-repair": {"workers", "draw_batch_size", "probe_resolution_ms"},
+    "ablation-read-fanout": {"workers", "draw_batch_size", "probe_resolution_ms"},
+    "ablation-failures": {"workers", "draw_batch_size", "probe_resolution_ms"},
     # Analytic oracle comparison: sharded measurement only.
     "analytic-validation": {"workers"},
 }

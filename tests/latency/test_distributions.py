@@ -214,3 +214,45 @@ class TestDescribe:
     def test_percentile_helper_uses_ppf(self):
         dist = ExponentialLatency(rate=1.0)
         assert dist.percentile(50.0) == pytest.approx(dist.ppf(0.5))
+
+
+
+#: (label, constructor of one parameter, the non-finite values it accepted).
+#: Negative infinity is listed only where no lower-bound check catches it.
+_NON_FINITE_FAMILIES = (
+    ("exponential-rate", lambda v: ExponentialLatency(rate=v), (math.nan, math.inf)),
+    ("pareto-xm", lambda v: ParetoLatency(xm=v, alpha=1.5), (math.nan, math.inf)),
+    ("pareto-alpha", lambda v: ParetoLatency(xm=1.0, alpha=v), (math.nan, math.inf)),
+    ("uniform-low", lambda v: UniformLatency(low=v, high=1.0), (math.nan,)),
+    ("uniform-high", lambda v: UniformLatency(low=0.0, high=v), (math.nan, math.inf)),
+    ("normal-mu", lambda v: NormalLatency(mu=v, sigma=1.0), (math.nan, math.inf, -math.inf)),
+    ("normal-sigma", lambda v: NormalLatency(mu=5.0, sigma=v), (math.nan, math.inf)),
+    ("lognormal-mu", lambda v: LogNormalLatency(mu=v, sigma=1.0), (math.nan, math.inf, -math.inf)),
+    ("lognormal-sigma", lambda v: LogNormalLatency(mu=0.0, sigma=v), (math.nan, math.inf)),
+    ("constant", lambda v: ConstantLatency(value=v), (math.nan, math.inf)),
+    (
+        "shifted",
+        lambda v: ShiftedLatency(base=ExponentialLatency(rate=1.0), offset=v),
+        (math.nan, math.inf),
+    ),
+    (
+        "scaled",
+        lambda v: ScaledLatency(base=ExponentialLatency(rate=1.0), factor=v),
+        (math.nan, math.inf),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "construct,value",
+    [
+        pytest.param(construct, value, id=f"{label}-{value}")
+        for label, construct, values in _NON_FINITE_FAMILIES
+        for value in values
+    ],
+)
+def test_constructors_reject_non_finite_parameters(construct, value):
+    """NaN slips past ``<= 0``-style checks and infinity past lower bounds;
+    both must fail at construction, not as a NaN answer or a numpy error."""
+    with pytest.raises(DistributionError, match="must be finite"):
+        construct(value)

@@ -408,7 +408,7 @@ class TestAdaptiveValidationAndErrors:
 class TestAdaptiveFrontEnds:
     """The knob threads through every visibility front-end."""
 
-    def test_visibility_curve_returns_union_grid(self, kernel_backend):
+    def test_visibility_curve_returns_union_grid(self):
         from repro.montecarlo.tvisibility import visibility_curve
 
         curve = visibility_curve(
@@ -420,7 +420,6 @@ class TestAdaptiveFrontEnds:
             chunk_size=SAMPLE_BLOCK,
             target_probability=_TARGET,
             probe_resolution_ms=_RESOLUTION,
-            kernel_backend=kernel_backend,
         )
         assert len(curve.times_ms) > len(_BASE_TIMES)
         assert list(curve.times_ms) == sorted(curve.times_ms)
@@ -429,7 +428,7 @@ class TestAdaptiveFrontEnds:
         t_at_target = curve.t_for_probability(_TARGET)
         assert 0.0 < t_at_target < _BASE_TIMES[-1]
 
-    def test_visibility_curves_refine_every_config(self, kernel_backend):
+    def test_visibility_curves_refine_every_config(self):
         from repro.montecarlo.tvisibility import visibility_curves
 
         curves = visibility_curves(
@@ -441,11 +440,10 @@ class TestAdaptiveFrontEnds:
             chunk_size=SAMPLE_BLOCK,
             target_probability=_TARGET,
             probe_resolution_ms=_RESOLUTION,
-            kernel_backend=kernel_backend,
         )
         assert all(len(curve.times_ms) > len(_BASE_TIMES) for curve in curves)
 
-    def test_t_visibility_table_with_resolution(self, kernel_backend):
+    def test_t_visibility_table_with_resolution(self):
         from repro.montecarlo.tvisibility import t_visibility_table
 
         rows = t_visibility_table(
@@ -455,11 +453,10 @@ class TestAdaptiveFrontEnds:
             rng=0,
             chunk_size=SAMPLE_BLOCK,
             probe_resolution_ms=1.0,
-            kernel_backend=kernel_backend,
         )
         assert rows[0]["t_visibility_ms"] > 0.0
 
-    def test_predictor_report_with_resolution(self, kernel_backend):
+    def test_predictor_report_with_resolution(self):
         from repro.core.predictor import PBSPredictor
 
         predictor = PBSPredictor(lnkd_disk(), _CONFIG)
@@ -468,7 +465,6 @@ class TestAdaptiveFrontEnds:
             rng=0,
             chunk_size=SAMPLE_BLOCK,
             probe_resolution_ms=1.0,
-            kernel_backend=kernel_backend,
         )
         assert 0.0 < report.t_visibility_99 <= report.t_visibility_999
         # Refinement actually engaged: the same budget without the knob
@@ -550,7 +546,7 @@ class TestAdaptiveFrontEnds:
         )
         assert estimate.margin > overconfident.margin
 
-    def test_sla_optimizer_with_resolution(self, kernel_backend):
+    def test_sla_optimizer_with_resolution(self):
         from repro.core.sla import SLAOptimizer, SLATarget
 
         optimizer = SLAOptimizer(
@@ -560,7 +556,6 @@ class TestAdaptiveFrontEnds:
             rng=0,
             chunk_size=SAMPLE_BLOCK,
             probe_resolution_ms=1.0,
-            kernel_backend=kernel_backend,
         )
         evaluation = optimizer.evaluate(_CONFIG, SLATarget(t_visibility_ms=1_000.0))
         assert evaluation.t_visibility_ms > 0.0

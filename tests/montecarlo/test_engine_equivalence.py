@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.quorum import ReplicaConfig, iter_configs
 from repro.core.wars import WARSModel, sample_wars_batch
 from repro.exceptions import AnalysisError, ConfigurationError
+from repro.kernels import KERNEL, resolve_backend
 from repro.latency.distributions import ConstantLatency, ExponentialLatency
 from repro.latency.production import WARSDistributions, lnkd_ssd, ymmr
 from repro.montecarlo.convergence import wilson_interval
@@ -98,6 +99,26 @@ class TestExactEquivalence:
             _assert_trial_results_equal(
                 summary.as_trial_result(), batch.reduce(summary.config)
             )
+
+    def test_reduce_matches_inline_reference(self):
+        """The reduction reproduces a hand-computed reduction of known inputs."""
+        rng = np.random.default_rng(0)
+        trials, n = 64, 5
+        w, a, r, s = (rng.exponential(2.0, size=(trials, n)) for _ in range(4))
+        commit, read, margin = KERNEL.reduce_batch(w, a, r, s)
+        assert np.array_equal(commit, np.sort(w + a, axis=1))
+        order = np.argsort(r + s, axis=1, kind="stable")
+        rows = np.arange(trials)[:, None]
+        assert np.array_equal(read, (r + s)[rows, order])
+        assert np.array_equal(
+            margin, np.minimum.accumulate((w - r)[rows, order], axis=1)
+        )
+
+    def test_resolve_backend_returns_the_one_reduction(self):
+        """The accessor the benchmark's layer tracing wraps (perfbench/layers.py)."""
+        assert resolve_backend(None) is KERNEL
+        with pytest.raises(ConfigurationError, match="only Monte Carlo kernel"):
+            resolve_backend("numba")
 
     def test_strict_quorums_report_zero_window_and_full_consistency(self):
         sweep = SweepEngine(ymmr(), _CONFIGS, times_ms=_TIMES).run(20_000, 3)
@@ -463,62 +484,3 @@ class TestEngineValidationAndSketch:
         assert summary.read_latency_percentile(99.0) == pytest.approx(
             independent.read_latency_percentile(99.0), rel=0.02
         )
-
-
-class TestKernelBackendInvariance:
-    """Engine invariants hold under every registered reduction backend.
-
-    The ``kernel_backend`` fixture (tests/montecarlo/conftest.py) runs these
-    once per registered backend — numba cases skip on machines without the
-    JIT runtime and run for real on CI's numba leg.  Statistical equivalence
-    between backends lives in test_kernels.py; these check that the *engine
-    contracts* (chunk-size invariance, worker invariance) are preserved by
-    whichever backend does the reduction.
-    """
-
-    _BACKEND_CONFIGS = (ReplicaConfig(3, 1, 1), ReplicaConfig(3, 2, 2))
-
-    def test_counts_chunk_size_invariant_per_backend(self, kernel_backend):
-        distributions = lnkd_ssd()
-        trials = 2 * SAMPLE_BLOCK + 777
-        small = SweepEngine(
-            distributions,
-            self._BACKEND_CONFIGS,
-            times_ms=_TIMES,
-            chunk_size=SAMPLE_BLOCK,
-            kernel_backend=kernel_backend,
-        ).run(trials, 42)
-        large = SweepEngine(
-            distributions,
-            self._BACKEND_CONFIGS,
-            times_ms=_TIMES,
-            chunk_size=10 * SAMPLE_BLOCK,
-            kernel_backend=kernel_backend,
-        ).run(trials, 42)
-        assert small.kernel_backend == large.kernel_backend == kernel_backend
-        for one, other in zip(small, large):
-            assert one.consistent_counts == other.consistent_counts
-            assert one.nonpositive_thresholds == other.nonpositive_thresholds
-
-    def test_counts_worker_invariant_per_backend(self, kernel_backend, workers):
-        distributions = lnkd_ssd()
-        trials = 3 * SAMPLE_BLOCK + 5
-        serial = SweepEngine(
-            distributions,
-            self._BACKEND_CONFIGS,
-            times_ms=_TIMES,
-            chunk_size=SAMPLE_BLOCK,
-            kernel_backend=kernel_backend,
-        ).run(trials, 7)
-        sharded = SweepEngine(
-            distributions,
-            self._BACKEND_CONFIGS,
-            times_ms=_TIMES,
-            chunk_size=SAMPLE_BLOCK,
-            workers=workers,
-            kernel_backend=kernel_backend,
-        ).run(trials, 7)
-        for ours, theirs in zip(sharded, serial):
-            assert ours.consistent_counts == theirs.consistent_counts
-            for q in (0.5, 0.99, 0.999):
-                assert ours.t_visibility(q) == theirs.t_visibility(q)

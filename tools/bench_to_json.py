@@ -5,8 +5,8 @@ The slow suite (``pytest -m slow benchmarks/``) *asserts* the repository's
 performance claims but leaves no machine-readable trace; this emitter runs
 the same measurement bodies (the ``measure_*`` functions shared with
 ``benchmarks/test_bench_engine.py``) and writes one JSON document so the
-perf trajectory — shared-sample speedup, multiprocess scaling, JIT kernel
-speedup — can be tracked across PRs and compared between machines.
+perf trajectory — shared-sample speedup, multiprocess scaling, simulator
+throughput — can be tracked across PRs and compared between machines.
 
 Usage::
 
@@ -52,8 +52,6 @@ def run_benchmarks(quick: bool = False) -> dict:
     import numpy
 
     import test_bench_engine as bench
-    from repro.kernels import available_backends
-    from repro.kernels.numba_backend import numba_available
 
     if quick:
         bench.TRIALS = max(bench.TRIALS // 4, 25_000)
@@ -67,7 +65,6 @@ def run_benchmarks(quick: bool = False) -> dict:
             "platform": platform.platform(),
             "numpy": numpy.__version__,
             "cpu_count": cpu_count,
-            "kernel_backends_available": list(available_backends()),
             "trials": bench.TRIALS,
             "configs": len(bench.CONFIGS),
             "quick": quick,
@@ -85,14 +82,6 @@ def run_benchmarks(quick: bool = False) -> dict:
     else:
         benchmarks["sharded_4_workers"] = {
             "skipped": f"needs >= 4 CPU cores, machine has {cpu_count}"
-        }
-
-    if numba_available():
-        print("numpy vs numba kernel backend ...", flush=True)
-        benchmarks["kernel_backend_numba"] = bench.measure_kernel_backend_speedup()
-    else:
-        benchmarks["kernel_backend_numba"] = {
-            "skipped": "numba is not installed; the backend falls back to numpy"
         }
 
     import test_bench_cluster as bench_cluster
