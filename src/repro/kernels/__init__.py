@@ -54,7 +54,7 @@ class NumpyKernelBackend:
 KERNEL = NumpyKernelBackend()
 
 
-def resolve_backend(spec: None = None) -> NumpyKernelBackend:
+def resolve_backend(spec: object = None) -> NumpyKernelBackend:
     """Return :data:`KERNEL`; any ``spec`` other than ``None`` is an error.
 
     Its only caller is the layer tracing in ``perfbench/layers.py``, which
