@@ -118,7 +118,7 @@ class TestExactEquivalence:
         """The accessor the benchmark's layer tracing wraps (perfbench/layers.py)."""
         assert resolve_backend(None) is KERNEL
         with pytest.raises(ConfigurationError, match="only Monte Carlo kernel"):
-            resolve_backend("numba")
+            resolve_backend("numpy")
 
     def test_strict_quorums_report_zero_window_and_full_consistency(self):
         sweep = SweepEngine(ymmr(), _CONFIGS, times_ms=_TIMES).run(20_000, 3)
