@@ -119,22 +119,22 @@ class LatencyGrid:
     ) -> "LatencyGrid":
         """Tabulate a distribution over a quantile ladder.
 
-        Mixtures are tabulated on the union of their components' ladders
-        (each component's quantile function is cheap) with probabilities from
-        the mixture's analytic CDF — inverting the mixture CDF point by point
-        would cost a bisection per node.
+        A leg costs one array ``ppf`` call over the whole ladder.  Mixtures
+        are tabulated on the union of their components' ladders (one ``ppf``
+        call per component) with probabilities from one array call of the
+        mixture's analytic CDF — inverting the mixture CDF would cost a
+        bisection per node.
         """
         ladder = quantile_ladder(points, tail)
         if isinstance(distribution, MixtureDistribution):
             component_values = [
-                component.distribution.ppf_batch(ladder)
+                component.distribution.ppf(ladder)
                 for component in distribution.components
                 if component.weight > 0.0
             ]
             values = np.unique(np.concatenate(component_values))
-            probs = np.array([distribution.cdf(float(x)) for x in values])
-            return cls(values=values, probs=probs)
-        return cls(values=distribution.ppf_batch(ladder), probs=ladder)
+            return cls(values=values, probs=distribution.cdf(values))
+        return cls(values=distribution.ppf(ladder), probs=ladder)
 
     def cdf(self, x: np.ndarray | float) -> np.ndarray:
         """``P(X <= x)`` by interpolation (0 below the grid, 1 above it)."""

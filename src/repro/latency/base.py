@@ -27,6 +27,8 @@ __all__ = [
     "LatencyDistribution",
     "DistributionSummary",
     "as_rng",
+    "check_quantiles",
+    "float_or_array",
     "DEFAULT_PERCENTILES",
 ]
 
@@ -41,6 +43,22 @@ DEFAULT_PERCENTILES: tuple[float, ...] = (50.0, 75.0, 95.0, 98.0, 99.0, 99.9)
 #: 200k samples exactly once instead of on every call.
 _FALLBACK_SAMPLE_COUNT: int = 200_000
 _FALLBACK_SAMPLE_SEED: int = 0
+
+
+def check_quantiles(q: float | np.ndarray) -> np.ndarray:
+    """Return ``q`` as a float array, raising unless every entry is in [0, 1].
+
+    NaN fails the check too, so a ``ppf`` never answers a NaN quantile.
+    """
+    quantiles = np.asarray(q, dtype=float)
+    if not np.all((quantiles >= 0.0) & (quantiles <= 1.0)):
+        raise DistributionError(f"quantiles must lie in [0, 1], got {q}")
+    return quantiles
+
+
+def float_or_array(values: np.ndarray) -> float | np.ndarray:
+    """A ``cdf``/``ppf`` result: a float when ``values`` is 0-d, else the array."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def as_rng(seed_or_rng: int | np.random.Generator | None) -> np.random.Generator:
@@ -85,7 +103,9 @@ class LatencyDistribution(abc.ABC):
 
     Concrete subclasses must implement :meth:`sample` and :meth:`mean`; the
     remaining methods have sensible sampling-based defaults that subclasses
-    with analytic forms are encouraged to override.
+    with analytic forms are encouraged to override.  An override of
+    :meth:`cdf` or :meth:`ppf` keeps their array contract;
+    :func:`check_quantiles` and :func:`float_or_array` do the bookkeeping.
     """
 
     #: Short human-readable name used by ``repr`` and table rendering.
@@ -125,35 +145,23 @@ class LatencyDistribution(abc.ABC):
         """Return the distribution variance (ms²), estimated by sampling if needed."""
         return float(np.var(self._fallback_samples()))
 
-    def cdf(self, x: float) -> float:
-        """Return ``P(latency <= x)``, estimated by sampling if not overridden."""
-        samples = self._fallback_samples()
-        return float(np.searchsorted(samples, x, side="right") / samples.size)
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Return ``P(latency <= x)``, estimated by sampling if not overridden.
 
-    def ppf(self, q: float) -> float:
-        """Return the ``q``-quantile (``q`` in [0, 1]), estimated by sampling if needed."""
-        if not 0.0 <= q <= 1.0:
-            raise DistributionError(f"quantile must be in [0, 1], got {q}")
-        return float(np.quantile(self._fallback_samples(), q))
-
-    def ppf_batch(self, qs: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`ppf`: the quantile for every ``q`` in ``qs``.
-
-        Subclasses that override :meth:`ppf` are evaluated point-wise through
-        their closed form; distributions still on the sampling fallback answer
-        the whole ladder with a single ``np.quantile`` call over the cached
-        draw.  This is the entry point the analytic fast path
-        (:mod:`repro.analytic`) uses to tabulate leg distributions.
+        Every ``cdf`` and ``ppf`` in this package takes a float or an array:
+        a float (or a 0-d array) gives a float, and an array gives an array
+        of the same shape, so a whole ladder of points costs one call.
         """
-        values = np.asarray(qs, dtype=float)
-        if values.size == 0:
-            return values.copy()
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise DistributionError("quantiles must lie in [0, 1]")
-        if type(self).ppf is not LatencyDistribution.ppf:
-            flat = np.array([self.ppf(float(q)) for q in values.ravel()])
-            return flat.reshape(values.shape)
-        return np.quantile(self._fallback_samples(), values)
+        samples = self._fallback_samples()
+        return float_or_array(np.searchsorted(samples, x, side="right") / samples.size)
+
+    def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
+        """Return the ``q``-quantile (``q`` in [0, 1]), estimated by sampling if needed.
+
+        Array-valued like :meth:`cdf`; raises :class:`DistributionError` if
+        any quantile is outside [0, 1] or NaN.
+        """
+        return float_or_array(np.quantile(self._fallback_samples(), check_quantiles(q)))
 
     # ------------------------------------------------------------------
     # Convenience helpers shared by all distributions.

@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from repro.exceptions import DistributionError
-from repro.latency.base import LatencyDistribution
+from repro.latency.base import LatencyDistribution, check_quantiles, float_or_array
 
 __all__ = [
     "ExponentialLatency",
@@ -40,7 +41,7 @@ __all__ = [
 
 # Coefficients of Acklam's rational approximation to the inverse standard
 # normal CDF (relative error < 1.15e-9 everywhere), refined below with one
-# Halley step against ``math.erfc`` to reach machine precision.
+# Halley step against ``erfc`` to reach machine precision.
 _ACKLAM_A = (
     -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
     1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
@@ -67,48 +68,47 @@ def _require_finite(family: str, **parameters: float) -> None:
             raise DistributionError(f"{family} {name} must be finite, got {value}")
 
 
-def standard_normal_ppf(q: float) -> float:
+def _acklam_tail(z: np.ndarray) -> np.ndarray:
+    """Acklam's lower-tail rational function of ``z = sqrt(-2 log q)``."""
+    a, b, c, d, e, f = _ACKLAM_C
+    numerator = ((((a * z + b) * z + c) * z + d) * z + e) * z + f
+    g, h, i, j = _ACKLAM_D
+    denominator = (((g * z + h) * z + i) * z + j) * z + 1.0
+    return numerator / denominator
+
+
+def standard_normal_ppf(q: float | np.ndarray) -> float | np.ndarray:
     """Inverse CDF of the standard normal distribution (the probit function).
 
     Closed-form building block for :meth:`NormalLatency.ppf` and
-    :meth:`LogNormalLatency.ppf`: neither :mod:`math` nor :mod:`numpy`
-    exposes an inverse error function, so this implements Acklam's rational
-    approximation plus one Halley refinement step against ``math.erfc``,
-    which lands within a few ulp of the exact quantile across (0, 1).
-    Returns ``-inf``/``inf`` at ``q = 0``/``q = 1``.
+    :meth:`LogNormalLatency.ppf`: Acklam's rational approximation plus one
+    Halley refinement step against ``erfc``, which lands within a few ulp
+    of the exact quantile across (0, 1).  Returns ``-inf``/``inf`` at
+    ``q = 0``/``q = 1``.  Array-valued like every ``ppf``: a float gives a
+    float, an array an array of the same shape.
     """
-    if not 0.0 <= q <= 1.0:
-        raise DistributionError(f"quantile must be in [0, 1], got {q}")
-    if q == 0.0:
-        return -math.inf
-    if q == 1.0:
-        return math.inf
-    if q < _ACKLAM_P_LOW:
-        z = math.sqrt(-2.0 * math.log(q))
-        a, b, c, d, e, f = _ACKLAM_C
-        numerator = ((((a * z + b) * z + c) * z + d) * z + e) * z + f
-        g, h, i, j = _ACKLAM_D
-        denominator = (((g * z + h) * z + i) * z + j) * z + 1.0
-        x = numerator / denominator
-    elif q > 1.0 - _ACKLAM_P_LOW:
-        z = math.sqrt(-2.0 * math.log(1.0 - q))
-        a, b, c, d, e, f = _ACKLAM_C
-        numerator = ((((a * z + b) * z + c) * z + d) * z + e) * z + f
-        g, h, i, j = _ACKLAM_D
-        denominator = (((g * z + h) * z + i) * z + j) * z + 1.0
-        x = -numerator / denominator
-    else:
-        z = q - 0.5
-        r = z * z
-        a, b, c, d, e, f = _ACKLAM_A
-        numerator = (((((a * r + b) * r + c) * r + d) * r + e) * r + f) * z
-        g, h, i, j, k = _ACKLAM_B
-        denominator = ((((g * r + h) * r + i) * r + j) * r + k) * r + 1.0
-        x = numerator / denominator
+    quantiles = check_quantiles(q)
+    result = np.where(quantiles == 0.0, -np.inf, np.inf)
+    inner = (quantiles > 0.0) & (quantiles < 1.0)
+    p = quantiles[inner]
+    lower = p < _ACKLAM_P_LOW
+    upper = p > 1.0 - _ACKLAM_P_LOW
+    central = ~(lower | upper)
+    x = np.empty_like(p)
+    x[lower] = _acklam_tail(np.sqrt(-2.0 * np.log(p[lower])))
+    x[upper] = -_acklam_tail(np.sqrt(-2.0 * np.log(1.0 - p[upper])))
+    z = p[central] - 0.5
+    r = z * z
+    a, b, c, d, e, f = _ACKLAM_A
+    numerator = (((((a * r + b) * r + c) * r + d) * r + e) * r + f) * z
+    g, h, i, j, k = _ACKLAM_B
+    denominator = ((((g * r + h) * r + i) * r + j) * r + k) * r + 1.0
+    x[central] = numerator / denominator
     # One Halley step: error = Phi(x) - q, with Phi via erfc for tail accuracy.
-    error = 0.5 * math.erfc(-x / math.sqrt(2.0)) - q
-    u = error * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    error = 0.5 * special.erfc(-x / math.sqrt(2.0)) - p
+    u = error * math.sqrt(2.0 * math.pi) * np.exp(0.5 * x * x)
+    result[inner] = x - u / (1.0 + 0.5 * x * u)
+    return float_or_array(result)
 
 
 @dataclass(frozen=True, repr=False)
@@ -143,17 +143,12 @@ class ExponentialLatency(LatencyDistribution):
     def variance(self) -> float:
         return 1.0 / (self.rate**2)
 
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return 1.0 - math.exp(-self.rate * x)
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        return float_or_array(1.0 - np.exp(-self.rate * np.maximum(x, 0.0)))
 
-    def ppf(self, q: float) -> float:
-        if not 0.0 <= q < 1.0:
-            if q == 1.0:
-                return math.inf
-            raise DistributionError(f"quantile must be in [0, 1], got {q}")
-        return -math.log(1.0 - q) / self.rate
+    def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
+        with np.errstate(divide="ignore"):  # q = 1 maps to inf
+            return float_or_array(-np.log(1.0 - check_quantiles(q)) / self.rate)
 
 
 @dataclass(frozen=True, repr=False)
@@ -192,17 +187,16 @@ class ParetoLatency(LatencyDistribution):
             return math.inf
         return (self.xm**2 * self.alpha) / ((self.alpha - 1.0) ** 2 * (self.alpha - 2.0))
 
-    def cdf(self, x: float) -> float:
-        if x < self.xm:
-            return 0.0
-        return 1.0 - (self.xm / x) ** self.alpha
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        x = np.asarray(x, dtype=float)
+        tail = (self.xm / np.maximum(x, self.xm)) ** self.alpha
+        return float_or_array(np.where(x < self.xm, 0.0, 1.0 - tail))
 
-    def ppf(self, q: float) -> float:
-        if not 0.0 <= q < 1.0:
-            if q == 1.0:
-                return math.inf
-            raise DistributionError(f"quantile must be in [0, 1], got {q}")
-        return self.xm / (1.0 - q) ** (1.0 / self.alpha)
+    def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
+        with np.errstate(divide="ignore"):  # q = 1 maps to inf
+            return float_or_array(
+                self.xm / (1.0 - check_quantiles(q)) ** (1.0 / self.alpha)
+            )
 
 
 @dataclass(frozen=True, repr=False)
@@ -238,17 +232,12 @@ class UniformLatency(LatencyDistribution):
     def variance(self) -> float:
         return (self.high - self.low) ** 2 / 12.0
 
-    def cdf(self, x: float) -> float:
-        if x <= self.low:
-            return 0.0
-        if x >= self.high:
-            return 1.0
-        return (x - self.low) / (self.high - self.low)
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        fraction = (np.asarray(x, dtype=float) - self.low) / (self.high - self.low)
+        return float_or_array(np.clip(fraction, 0.0, 1.0))
 
-    def ppf(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise DistributionError(f"quantile must be in [0, 1], got {q}")
-        return self.low + q * (self.high - self.low)
+    def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
+        return float_or_array(self.low + check_quantiles(q) * (self.high - self.low))
 
 
 @dataclass(frozen=True, repr=False)
@@ -294,23 +283,22 @@ class NormalLatency(LatencyDistribution):
         second_moment = (self.mu**2 + self.sigma**2) * big_phi + self.mu * self.sigma * phi
         return max(second_moment - self.mean() ** 2, 0.0)
 
-    def cdf(self, x: float) -> float:
-        if x < 0:
-            return 0.0
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        x = np.asarray(x, dtype=float)
         if self.sigma == 0:
-            return 1.0 if x >= self.mu else 0.0
-        return 0.5 * (1.0 + math.erf((x - self.mu) / (self.sigma * math.sqrt(2.0))))
+            clipped = np.where(x >= self.mu, 1.0, 0.0)
+        else:
+            z = (x - self.mu) / (self.sigma * math.sqrt(2.0))
+            clipped = 0.5 * (1.0 + special.erf(z))
+        return float_or_array(np.where(x < 0, 0.0, clipped))
 
-    def ppf(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise DistributionError(f"quantile must be in [0, 1], got {q}")
-        if q == 1.0:
-            return math.inf if self.sigma > 0 else max(self.mu, 0.0)
+    def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
+        quantiles = check_quantiles(q)
         if self.sigma == 0:
-            return max(self.mu, 0.0)
-        if q == 0.0:
-            return 0.0
-        return max(0.0, self.mu + self.sigma * standard_normal_ppf(q))
+            return float_or_array(np.full(quantiles.shape, max(self.mu, 0.0)))
+        # q = 0 gives -inf before the clip at zero, q = 1 gives inf.
+        values = self.mu + self.sigma * standard_normal_ppf(quantiles)
+        return float_or_array(np.maximum(0.0, values))
 
 
 @dataclass(frozen=True, repr=False)
@@ -348,23 +336,22 @@ class LogNormalLatency(LatencyDistribution):
     def variance(self) -> float:
         return (math.exp(self.sigma**2) - 1.0) * math.exp(2.0 * self.mu + self.sigma**2)
 
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        x = np.asarray(x, dtype=float)
+        log_x = np.log(np.where(x <= 0, 1.0, x))
         if self.sigma == 0:
-            return 1.0 if math.log(x) >= self.mu else 0.0
-        return 0.5 * (1.0 + math.erf((math.log(x) - self.mu) / (self.sigma * math.sqrt(2.0))))
+            positive = np.where(log_x >= self.mu, 1.0, 0.0)
+        else:
+            z = (log_x - self.mu) / (self.sigma * math.sqrt(2.0))
+            positive = 0.5 * (1.0 + special.erf(z))
+        return float_or_array(np.where(x <= 0, 0.0, positive))
 
-    def ppf(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise DistributionError(f"quantile must be in [0, 1], got {q}")
-        if q == 0.0:
-            return 0.0
-        if q == 1.0:
-            return math.inf if self.sigma > 0 else math.exp(self.mu)
+    def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
+        quantiles = check_quantiles(q)
         if self.sigma == 0:
-            return math.exp(self.mu)
-        return math.exp(self.mu + self.sigma * standard_normal_ppf(q))
+            return float_or_array(np.where(quantiles == 0.0, 0.0, math.exp(self.mu)))
+        # q = 0 gives exp(-inf) = 0, q = 1 gives exp(inf) = inf.
+        return float_or_array(np.exp(self.mu + self.sigma * standard_normal_ppf(quantiles)))
 
 
 @dataclass(frozen=True, repr=False)
@@ -393,13 +380,11 @@ class ConstantLatency(LatencyDistribution):
     def variance(self) -> float:
         return 0.0
 
-    def cdf(self, x: float) -> float:
-        return 1.0 if x >= self.value else 0.0
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        return float_or_array(np.where(np.asarray(x, dtype=float) >= self.value, 1.0, 0.0))
 
-    def ppf(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise DistributionError(f"quantile must be in [0, 1], got {q}")
-        return self.value
+    def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
+        return float_or_array(np.full(check_quantiles(q).shape, self.value))
 
 
 @dataclass(frozen=True, repr=False)
@@ -424,10 +409,10 @@ class ShiftedLatency(LatencyDistribution):
     def variance(self) -> float:
         return self.base.variance()
 
-    def cdf(self, x: float) -> float:
-        return self.base.cdf(x - self.offset)
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        return self.base.cdf(np.asarray(x, dtype=float) - self.offset)
 
-    def ppf(self, q: float) -> float:
+    def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
         return self.base.ppf(q) + self.offset
 
 
@@ -453,8 +438,8 @@ class ScaledLatency(LatencyDistribution):
     def variance(self) -> float:
         return self.base.variance() * self.factor**2
 
-    def cdf(self, x: float) -> float:
-        return self.base.cdf(x / self.factor)
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        return self.base.cdf(np.asarray(x, dtype=float) / self.factor)
 
-    def ppf(self, q: float) -> float:
+    def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
         return self.base.ppf(q) * self.factor

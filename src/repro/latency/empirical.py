@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import DistributionError
-from repro.latency.base import LatencyDistribution
+from repro.latency.base import LatencyDistribution, check_quantiles, float_or_array
 
 __all__ = ["EmpiricalDistribution", "QuantileTableDistribution"]
 
@@ -54,13 +54,17 @@ class EmpiricalDistribution(LatencyDistribution):
     def variance(self) -> float:
         return float(np.var(self.observations))
 
-    def cdf(self, x: float) -> float:
-        return float(np.mean(self.observations <= x))
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """The fraction of observations ``<= x``, counted by binary search."""
+        x = np.asarray(x, dtype=float)
+        counts = np.searchsorted(np.sort(self.observations), x, side="right")
+        # A NaN sorts after every observation, but no observation is <= NaN.
+        counts = np.where(np.isnan(x), 0, counts)
+        return float_or_array(counts / self.observations.size)
 
-    def ppf(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise DistributionError(f"quantile must be in [0, 1], got {q}")
-        return float(np.quantile(self.observations, q))
+    def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
+        """Linearly interpolated sample quantiles: one ``np.quantile`` call."""
+        return float_or_array(np.quantile(self.observations, check_quantiles(q)))
 
     def __len__(self) -> int:
         return int(self.observations.size)
@@ -90,6 +94,9 @@ class QuantileTableDistribution(LatencyDistribution):
             raise DistributionError("quantile table requires matching 1-D arrays")
         if quantiles.size < 2:
             raise DistributionError("quantile table requires at least two knots")
+        # NaN passes every ordering check below (each comparison is False).
+        if not (np.all(np.isfinite(quantiles)) and np.all(np.isfinite(latencies))):
+            raise DistributionError("quantile table knots must be finite")
         if quantiles[0] != 0.0 or quantiles[-1] != 1.0:
             raise DistributionError("quantile table must span quantiles 0.0 through 1.0")
         if np.any(np.diff(quantiles) <= 0):
@@ -140,12 +147,10 @@ class QuantileTableDistribution(LatencyDistribution):
         """Exact variance of the piecewise-linear quantile function (ms²)."""
         return self._variance_cache
 
-    def ppf(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise DistributionError(f"quantile must be in [0, 1], got {q}")
-        return float(np.interp(q, self.quantiles, self.latencies))
+    def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
+        return float_or_array(np.interp(check_quantiles(q), self.quantiles, self.latencies))
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """``P(X <= x)`` as the generalised inverse of the quantile table.
 
         Flat latency segments are atoms: the CDF there is the *maximal*
@@ -156,22 +161,25 @@ class QuantileTableDistribution(LatencyDistribution):
         at duplicate x-knots is underspecified, and linearly bridging a flat
         segment smears the atom's mass across the neighbouring latencies.
         """
-        latencies = self.latencies
-        if x < latencies[0]:
-            return 0.0
-        if x >= latencies[-1]:
-            return 1.0
+        x = np.asarray(x, dtype=float)
+        quantiles, latencies = self.quantiles, self.latencies
         # Rightmost knot with latency <= x; at a flat segment this lands on
         # the segment's last knot, i.e. the maximal quantile of the atom.
-        index = int(np.searchsorted(latencies, x, side="right")) - 1
-        if latencies[index] == x:
-            return float(self.quantiles[index])
-        # Strictly inside (latencies[index], latencies[index + 1]): because
-        # ``index`` is the last occurrence of its latency, this span is
-        # strictly increasing and ordinary interpolation is well defined.
-        span = latencies[index + 1] - latencies[index]
-        fraction = (x - latencies[index]) / span
-        return float(
-            self.quantiles[index]
-            + fraction * (self.quantiles[index + 1] - self.quantiles[index])
+        # Points outside the table are clamped onto an end segment here and
+        # answered 0 or 1 below.
+        index = np.clip(np.searchsorted(latencies, x, side="right") - 1, 0, latencies.size - 2)
+        low, high = latencies[index], latencies[index + 1]
+        # Strictly inside (low, high): because ``index`` is the last
+        # occurrence of its latency, this span is strictly increasing and
+        # ordinary interpolation is well defined.  A clamped point can land
+        # on a flat end segment, whose zero span is never used.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fraction = (x - low) / (high - low)
+        inside = np.where(
+            low == x,
+            quantiles[index],
+            quantiles[index] + fraction * (quantiles[index + 1] - quantiles[index]),
+        )
+        return float_or_array(
+            np.where(x < latencies[0], 0.0, np.where(x >= latencies[-1], 1.0, inside))
         )

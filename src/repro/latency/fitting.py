@@ -137,7 +137,7 @@ def _candidate_objective(
         mixture = pareto_exponential_mixture(weight, xm, alpha, rate)
     except DistributionError:
         return 1e6
-    cdf_values = np.array([mixture.cdf(x) for x in probe])
+    cdf_values = mixture.cdf(probe)
     # Quantile via inverse interpolation of the CDF over the probe grid.
     predicted = np.interp(points / 100.0, cdf_values, probe)
     if np.any(~np.isfinite(predicted)):

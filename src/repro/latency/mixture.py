@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import DistributionError
-from repro.latency.base import LatencyDistribution
+from repro.latency.base import LatencyDistribution, check_quantiles, float_or_array
 from repro.latency.distributions import ExponentialLatency, ParetoLatency
 
 __all__ = ["MixtureComponent", "MixtureDistribution", "pareto_exponential_mixture"]
@@ -87,38 +87,56 @@ class MixtureDistribution(LatencyDistribution):
         )
         return within + between
 
-    def cdf(self, x: float) -> float:
-        return sum(
-            component.weight * component.distribution.cdf(x) for component in self.components
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """The weighted sum of the component CDFs, one call per component."""
+        x = np.asarray(x, dtype=float)
+        return float_or_array(
+            sum(
+                component.weight * component.distribution.cdf(x)
+                for component in self.components
+            )
         )
 
-    def ppf(self, q: float) -> float:
-        # The mixture CDF has no closed-form inverse, but each component's ppf
-        # brackets the mixture quantile (the mixture CDF is a weighted average
-        # of the component CDFs), so bisect the analytic cdf between the
-        # smallest and largest component quantiles.
-        if not 0.0 <= q <= 1.0:
-            raise DistributionError(f"quantile must be in [0, 1], got {q}")
-        component_quantiles = [
-            component.distribution.ppf(q)
-            for component in self.components
-            if component.weight > 0.0
-        ]
-        low = min(component_quantiles)
-        high = max(component_quantiles)
-        if not np.isfinite(high):
-            return float(np.inf)
-        if high - low <= 1e-12:
-            return low
+    def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
+        """Quantiles by bisection of the analytic CDF, all ``q`` at once.
+
+        The mixture CDF has no closed-form inverse, but each component's ppf
+        brackets the mixture quantile (the mixture CDF is a weighted average
+        of the component CDFs), so every quantile bisects between its
+        smallest and largest component quantile.  Each bisection round makes
+        one array :meth:`cdf` call over the quantiles still open.
+        """
+        quantiles = check_quantiles(q)
+        component_quantiles = np.stack(
+            [
+                component.distribution.ppf(quantiles)
+                for component in self.components
+                if component.weight > 0.0
+            ]
+        )
+        low = component_quantiles.min(axis=0)
+        high = component_quantiles.max(axis=0)
+        # A bracket already narrower than 1e-12 answers its lower end; an
+        # infinite upper end (q = 1 for an unbounded component) answers inf.
+        with np.errstate(invalid="ignore"):  # inf - inf
+            narrow = high - low <= 1e-12
+        result = np.where(narrow, low, high)
+        bracketed = np.isfinite(high) & ~narrow
+        low, high, target = low[bracketed], high[bracketed], quantiles[bracketed]
+        pending = np.arange(low.size)
         for _ in range(200):
-            mid = 0.5 * (low + high)
-            if self.cdf(mid) < q:
-                low = mid
-            else:
-                high = mid
-            if high - low <= 1e-12 * max(1.0, abs(high)):
+            if pending.size == 0:
                 break
-        return high
+            mid = 0.5 * (low[pending] + high[pending])
+            below = self.cdf(mid) < target[pending]
+            low[pending[below]] = mid[below]
+            high[pending[~below]] = mid[~below]
+            converged = high[pending] - low[pending] <= 1e-12 * np.maximum(
+                1.0, np.abs(high[pending])
+            )
+            pending = pending[~converged]
+        result[bracketed] = high
+        return float_or_array(result)
 
 
 def pareto_exponential_mixture(

@@ -13,7 +13,22 @@ from repro.latency.distributions import (
     ParetoLatency,
     UniformLatency,
 )
+from repro.latency.empirical import EmpiricalDistribution
+from repro.latency.mixture import MixtureDistribution
 from repro.latency.production import lnkd_disk
+
+
+def _record_calls(monkeypatch, owner, name) -> list[int]:
+    """Wrap ``owner.name`` so each call appends the size of its argument."""
+    calls: list[int] = []
+    original = getattr(owner, name)
+
+    def recording(self, values):
+        calls.append(int(np.size(values)))
+        return original(self, values)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
 
 
 class TestQuantileLadder:
@@ -69,6 +84,27 @@ class TestLatencyGrid:
         grid = LatencyGrid.from_distribution(mixture)
         xs = np.array([1.1, 2.0, 10.0, 50.0])
         assert np.allclose(grid.cdf(xs), [mixture.cdf(x) for x in xs], atol=1e-3)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            ExponentialLatency(rate=0.25),
+            EmpiricalDistribution(np.random.default_rng(5).exponential(5.0, size=4_096)),
+        ],
+        ids=["exponential", "empirical"],
+    )
+    def test_leg_is_tabulated_with_one_ppf_call(self, monkeypatch, dist):
+        calls = _record_calls(monkeypatch, type(dist), "ppf")
+        LatencyGrid.from_distribution(dist)
+        assert calls == [quantile_ladder().size]
+
+    def test_mixture_is_tabulated_with_one_cdf_call(self, monkeypatch):
+        pareto_calls = _record_calls(monkeypatch, ParetoLatency, "ppf")
+        exponential_calls = _record_calls(monkeypatch, ExponentialLatency, "ppf")
+        cdf_calls = _record_calls(monkeypatch, MixtureDistribution, "cdf")
+        grid = LatencyGrid.from_distribution(lnkd_disk().w)
+        assert pareto_calls == exponential_calls == [quantile_ladder().size]
+        assert cdf_calls == [grid.values.size]
 
     def test_rejects_mismatched_arrays(self):
         with pytest.raises(DistributionError):

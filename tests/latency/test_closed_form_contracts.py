@@ -96,6 +96,29 @@ class TestQuantileRoundTrips:
             distribution.ppf(-0.1)
         with pytest.raises(DistributionError):
             distribution.ppf(1.1)
+        for bad in (-0.1, 1.1, math.nan):
+            with pytest.raises(DistributionError):
+                distribution.ppf(np.array([0.2, bad, 0.8]))
+            with pytest.raises(DistributionError):
+                distribution.ppf(np.array([[0.5], [bad]]))
+
+    def test_array_queries_keep_shape_and_match_scalar_calls(self, distribution, floor):
+        """A float gives a float; an n-d array gives an array of that shape
+        whose entries match one scalar call each."""
+        assert isinstance(distribution.ppf(0.3), float)
+        assert isinstance(distribution.cdf(distribution.ppf(0.3)), float)
+        ladder = np.array([0.0, 1e-6, 0.01, 0.25, 0.5, 0.75, 0.99, 0.999999, 1.0])
+        finite = distribution.ppf(ladder[1:-1])
+        points = np.concatenate([[-1.0, 0.0], finite, 2.0 * finite[-1:]])
+        for queries, function in ((ladder, distribution.ppf), (points, distribution.cdf)):
+            for shape in ((), (queries.size,), (3, queries.size // 3)):
+                batch = queries[: int(np.prod(shape))].reshape(shape)
+                answer = function(batch)
+                assert np.shape(answer) == shape
+                scalar = [function(float(value)) for value in batch.ravel()]
+                np.testing.assert_allclose(
+                    np.ravel(answer), scalar, rtol=1e-14, atol=1e-15
+                )
 
 
 @pytest.mark.parametrize("distribution,floor", _CONTINUOUS_CASES, ids=_CASE_IDS)
@@ -251,7 +274,7 @@ class TestSamplingFallbackCache:
         dist.variance()
         dist.cdf(2.0)
         dist.ppf(0.9)
-        dist.ppf_batch(np.linspace(0.1, 0.9, 17))
+        dist.ppf(np.linspace(0.1, 0.9, 17))
         dist.variance()
         dist.cdf(5.0)
         assert len(dist.calls) == 1

@@ -18,6 +18,7 @@ from repro.latency.distributions import (
     ShiftedLatency,
     UniformLatency,
 )
+from repro.latency.empirical import QuantileTableDistribution
 
 
 class TestExponentialLatency:
@@ -239,6 +240,23 @@ _NON_FINITE_FAMILIES = (
         "scaled",
         lambda v: ScaledLatency(base=ExponentialLatency(rate=1.0), factor=v),
         (math.nan, math.inf),
+    ),
+    # NaN knots pass the table's ordering checks (every comparison is False)
+    # and an infinite last latency passes them too.
+    (
+        "quantile-table-latency",
+        lambda v: QuantileTableDistribution([0.0, 0.5, 1.0], [1.0, v, 3.0]),
+        (math.nan,),
+    ),
+    (
+        "quantile-table-quantile",
+        lambda v: QuantileTableDistribution([0.0, v, 1.0], [1.0, 2.0, 3.0]),
+        (math.nan,),
+    ),
+    (
+        "quantile-table-maximum",
+        lambda v: QuantileTableDistribution([0.0, 1.0], [1.0, v]),
+        (math.inf,),
     ),
 )
 
