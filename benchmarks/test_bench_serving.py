@@ -1,4 +1,4 @@
-"""Benchmark: serving-layer load test (the PR-7 acceptance claim).
+"""Benchmark: the serving layer's warm load and its cold path after a refit.
 
 The serving layer's contract: once a tenant's analytic environment is warm,
 :class:`repro.serving.PredictorService` sustains at least 1,000 requests per
@@ -7,13 +7,19 @@ The load mix alternates predictions across the N=3 quorum grid with SLA
 recommendations, so both the fingerprint-keyed cache hits and the warm
 analytic misses are on the measured path.
 
-The measurement body lives in ``measure_serving_load`` so
-``tools/bench_to_json.py`` can emit it into ``BENCH_sweep.json`` as the
-``serving_load`` scenario.
+A refit retires the warm environment: the first query afterwards rebuilds
+it from the tenant's empirical reservoirs (four leg grids, two convolutions
+and the α matrix).  ``measure_serving_refit`` times that rebuild and the
+first recommendation after it; the load test above never reaches this path.
+
+The measurement bodies live in ``measure_serving_load`` and
+``measure_serving_refit`` so ``tools/bench_to_json.py`` can emit them into
+``BENCH_sweep.json`` as the ``serving_load`` and ``serving_refit`` scenarios.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -42,6 +48,11 @@ TARGETS = (
     SLATarget(read_latency_ms=5.0, t_visibility_ms=50.0),
     SLATarget(t_visibility_ms=5.0),
 )
+
+#: Refits timed by ``measure_serving_refit``, and the observations ingested
+#: per leg before each (the default reservoir capacity, so it fills).
+REFITS = 5
+REFIT_OBSERVATIONS = 4_096
 
 
 def measure_serving_load(requests: int = REQUESTS) -> dict:
@@ -82,6 +93,40 @@ def measure_serving_load(requests: int = REQUESTS) -> dict:
     }
 
 
+def measure_serving_refit() -> dict:
+    """Time the first ``predict`` and ``recommend`` after each of ``REFITS`` refits.
+
+    Each round registers a fresh LNKD-SSD tenant, ingests
+    ``REFIT_OBSERVATIONS`` seeded exponential values (mean 5 ms, as in
+    ``perfbench``'s ``serve-http``) per leg, and refits, so every leg becomes
+    an empirical distribution over a full default reservoir.  The first
+    ``predict`` pays the environment rebuild; the first ``recommend`` then
+    pays the SLA search over the warm environment.  Medians are over the
+    rounds.
+    """
+    rebuild_ms, recommend_ms = [], []
+    for round_index in range(REFITS):
+        service = PredictorService()
+        service.register_tenant("bench", "LNKD-SSD")
+        rng = np.random.default_rng(round_index)
+        for leg in ("W", "A", "R", "S"):
+            service.ingest("bench", leg, rng.exponential(5.0, size=REFIT_OBSERVATIONS))
+        service.refit("bench")
+        started = time.perf_counter()
+        service.predict("bench", CONFIGS[0])
+        rebuild_ms.append((time.perf_counter() - started) * 1e3)
+        started = time.perf_counter()
+        service.recommend("bench", TARGETS[0])
+        recommend_ms.append((time.perf_counter() - started) * 1e3)
+    return {
+        "refits": REFITS,
+        "observations_per_leg": REFIT_OBSERVATIONS,
+        "rebuild_median_ms": statistics.median(rebuild_ms),
+        "rebuild_max_ms": max(rebuild_ms),
+        "recommend_median_ms": statistics.median(recommend_ms),
+    }
+
+
 @pytest.mark.benchmark(group="serving")
 def test_serving_load_1000_rps_p99_under_10ms():
     """>= 1,000 req/s at p99 < 10 ms on the cached/analytic serving path."""
@@ -101,4 +146,20 @@ def test_serving_load_1000_rps_p99_under_10ms():
     assert result["p99_ms"] < 10.0, (
         f"expected p99 request latency < 10 ms on the cached/analytic path, "
         f"got {result['p99_ms']:.2f} ms"
+    )
+
+
+@pytest.mark.benchmark(group="serving")
+def test_serving_refit_rebuild_under_150ms():
+    """The first query after a refit rebuilds the environment in <= 150 ms."""
+    result = measure_serving_refit()
+    print(
+        f"\n{result['refits']} refits of {result['observations_per_leg']} "
+        f"observations per leg: rebuild median {result['rebuild_median_ms']:.1f} ms "
+        f"(max {result['rebuild_max_ms']:.1f} ms), first recommend median "
+        f"{result['recommend_median_ms']:.1f} ms"
+    )
+    assert result["rebuild_median_ms"] <= 150.0, (
+        f"expected the post-refit environment rebuild to take <= 150 ms, "
+        f"got a median of {result['rebuild_median_ms']:.1f} ms"
     )

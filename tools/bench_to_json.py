@@ -124,6 +124,8 @@ def run_benchmarks(quick: bool = False) -> dict:
     benchmarks["serving_load"] = bench_serving.measure_serving_load(
         requests=serving_requests
     )
+    print("serving rebuild after a refit (5 refits) ...", flush=True)
+    benchmarks["serving_refit"] = bench_serving.measure_serving_refit()
 
     import test_bench_scenarios as bench_scenarios
 
