@@ -27,6 +27,7 @@ __all__ = [
     "LatencyDistribution",
     "DistributionSummary",
     "as_rng",
+    "check_points",
     "check_quantiles",
     "float_or_array",
     "DEFAULT_PERCENTILES",
@@ -54,6 +55,19 @@ def check_quantiles(q: float | np.ndarray) -> np.ndarray:
     if not np.all((quantiles >= 0.0) & (quantiles <= 1.0)):
         raise DistributionError(f"quantiles must lie in [0, 1], got {q}")
     return quantiles
+
+
+def check_points(x: float | np.ndarray) -> np.ndarray:
+    """Return ``x`` as a float array, raising if any entry is NaN.
+
+    The ``cdf`` counterpart of :func:`check_quantiles`: no latency is
+    ``<= NaN``, so a ``cdf`` never answers one.  ``±inf`` stays valid, and a
+    ``cdf`` answers 0 or 1 there.
+    """
+    points = np.asarray(x, dtype=float)
+    if np.isnan(points).any():
+        raise DistributionError(f"cdf points must not be NaN, got {x}")
+    return points
 
 
 def float_or_array(values: np.ndarray) -> float | np.ndarray:
@@ -151,9 +165,11 @@ class LatencyDistribution(abc.ABC):
         Every ``cdf`` and ``ppf`` in this package takes a float or an array:
         a float (or a 0-d array) gives a float, and an array gives an array
         of the same shape, so a whole ladder of points costs one call.
+        Raises :class:`DistributionError` if any point is NaN.
         """
+        points = check_points(x)
         samples = self._fallback_samples()
-        return float_or_array(np.searchsorted(samples, x, side="right") / samples.size)
+        return float_or_array(np.searchsorted(samples, points, side="right") / samples.size)
 
     def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
         """Return the ``q``-quantile (``q`` in [0, 1]), estimated by sampling if needed.

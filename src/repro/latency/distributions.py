@@ -24,7 +24,12 @@ import numpy as np
 from scipy import special
 
 from repro.exceptions import DistributionError
-from repro.latency.base import LatencyDistribution, check_quantiles, float_or_array
+from repro.latency.base import (
+    LatencyDistribution,
+    check_points,
+    check_quantiles,
+    float_or_array,
+)
 
 __all__ = [
     "ExponentialLatency",
@@ -144,7 +149,7 @@ class ExponentialLatency(LatencyDistribution):
         return 1.0 / (self.rate**2)
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        return float_or_array(1.0 - np.exp(-self.rate * np.maximum(x, 0.0)))
+        return float_or_array(1.0 - np.exp(-self.rate * np.maximum(check_points(x), 0.0)))
 
     def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
         with np.errstate(divide="ignore"):  # q = 1 maps to inf
@@ -188,7 +193,7 @@ class ParetoLatency(LatencyDistribution):
         return (self.xm**2 * self.alpha) / ((self.alpha - 1.0) ** 2 * (self.alpha - 2.0))
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = check_points(x)
         tail = (self.xm / np.maximum(x, self.xm)) ** self.alpha
         return float_or_array(np.where(x < self.xm, 0.0, 1.0 - tail))
 
@@ -233,7 +238,7 @@ class UniformLatency(LatencyDistribution):
         return (self.high - self.low) ** 2 / 12.0
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        fraction = (np.asarray(x, dtype=float) - self.low) / (self.high - self.low)
+        fraction = (check_points(x) - self.low) / (self.high - self.low)
         return float_or_array(np.clip(fraction, 0.0, 1.0))
 
     def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
@@ -284,7 +289,7 @@ class NormalLatency(LatencyDistribution):
         return max(second_moment - self.mean() ** 2, 0.0)
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = check_points(x)
         if self.sigma == 0:
             clipped = np.where(x >= self.mu, 1.0, 0.0)
         else:
@@ -337,7 +342,7 @@ class LogNormalLatency(LatencyDistribution):
         return (math.exp(self.sigma**2) - 1.0) * math.exp(2.0 * self.mu + self.sigma**2)
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = check_points(x)
         log_x = np.log(np.where(x <= 0, 1.0, x))
         if self.sigma == 0:
             positive = np.where(log_x >= self.mu, 1.0, 0.0)
@@ -381,7 +386,7 @@ class ConstantLatency(LatencyDistribution):
         return 0.0
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        return float_or_array(np.where(np.asarray(x, dtype=float) >= self.value, 1.0, 0.0))
+        return float_or_array(np.where(check_points(x) >= self.value, 1.0, 0.0))
 
     def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
         return float_or_array(np.full(check_quantiles(q).shape, self.value))
@@ -410,7 +415,7 @@ class ShiftedLatency(LatencyDistribution):
         return self.base.variance()
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        return self.base.cdf(np.asarray(x, dtype=float) - self.offset)
+        return self.base.cdf(check_points(x) - self.offset)
 
     def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
         return self.base.ppf(q) + self.offset
@@ -439,7 +444,7 @@ class ScaledLatency(LatencyDistribution):
         return self.base.variance() * self.factor**2
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        return self.base.cdf(np.asarray(x, dtype=float) / self.factor)
+        return self.base.cdf(check_points(x) / self.factor)
 
     def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
         return self.base.ppf(q) * self.factor

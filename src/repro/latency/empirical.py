@@ -15,7 +15,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import DistributionError
-from repro.latency.base import LatencyDistribution, check_quantiles, float_or_array
+from repro.latency.base import (
+    LatencyDistribution,
+    check_points,
+    check_quantiles,
+    float_or_array,
+)
 
 __all__ = ["EmpiricalDistribution", "QuantileTableDistribution"]
 
@@ -56,10 +61,7 @@ class EmpiricalDistribution(LatencyDistribution):
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """The fraction of observations ``<= x``, counted by binary search."""
-        x = np.asarray(x, dtype=float)
-        counts = np.searchsorted(np.sort(self.observations), x, side="right")
-        # A NaN sorts after every observation, but no observation is <= NaN.
-        counts = np.where(np.isnan(x), 0, counts)
+        counts = np.searchsorted(np.sort(self.observations), check_points(x), side="right")
         return float_or_array(counts / self.observations.size)
 
     def ppf(self, q: float | np.ndarray) -> float | np.ndarray:
@@ -161,7 +163,7 @@ class QuantileTableDistribution(LatencyDistribution):
         at duplicate x-knots is underspecified, and linearly bridging a flat
         segment smears the atom's mass across the neighbouring latencies.
         """
-        x = np.asarray(x, dtype=float)
+        x = check_points(x)
         quantiles, latencies = self.quantiles, self.latencies
         # Rightmost knot with latency <= x; at a flat segment this lands on
         # the segment's last knot, i.e. the maximal quantile of the atom.

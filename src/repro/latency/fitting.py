@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import DistributionError
 from repro.latency.base import LatencyDistribution
@@ -208,6 +207,10 @@ def fit_pareto_exponential(
     seed:
         Seed for the final Monte Carlo N-RMSE evaluation.
     """
+    # Imported here, not at module level: this is its only caller, and
+    # ``import repro`` would otherwise pay for scipy.optimize on every start.
+    from scipy import optimize
+
     points, values = _percentile_targets(percentiles)
     median = float(np.interp(50.0, points, values)) if points.size > 1 else float(values[0])
     scale_guess = mean_hint if mean_hint and mean_hint > 0 else max(median, 1e-3)

@@ -16,7 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import DistributionError
-from repro.latency.base import LatencyDistribution, check_quantiles, float_or_array
+from repro.latency.base import (
+    LatencyDistribution,
+    check_points,
+    check_quantiles,
+    float_or_array,
+)
 from repro.latency.distributions import ExponentialLatency, ParetoLatency
 
 __all__ = ["MixtureComponent", "MixtureDistribution", "pareto_exponential_mixture"]
@@ -59,12 +64,22 @@ class MixtureDistribution(LatencyDistribution):
         return cls(components=components, name=name)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        weights = np.array([component.weight for component in self.components])
-        choices = rng.choice(len(self.components), size=size, p=weights)
+        """One uniform per sample picks its component, as ``Generator.choice`` does.
+
+        Component ``k`` takes the uniforms in ``[bounds[k-1], bounds[k])`` of
+        the normalised cumulative weights: ``choice(p=weights)``'s own rule
+        (``cdf.searchsorted(u, side="right")``) over the same uniforms, so the
+        stream and the samples are those of ``choice`` without its overhead.
+        """
+        bounds = np.cumsum([component.weight for component in self.components])
+        bounds /= bounds[-1]
+        uniforms = rng.random(size)
         samples = np.empty(size, dtype=float)
-        for index, component in enumerate(self.components):
-            mask = choices == index
-            count = int(np.sum(mask))
+        lower = 0.0
+        for upper, component in zip(bounds, self.components):
+            mask = (uniforms >= lower) & (uniforms < upper)
+            lower = upper
+            count = int(np.count_nonzero(mask))
             if count:
                 samples[mask] = component.distribution.sample(count, rng)
         return self.validate_samples(samples)
@@ -89,7 +104,7 @@ class MixtureDistribution(LatencyDistribution):
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
         """The weighted sum of the component CDFs, one call per component."""
-        x = np.asarray(x, dtype=float)
+        x = check_points(x)
         return float_or_array(
             sum(
                 component.weight * component.distribution.cdf(x)

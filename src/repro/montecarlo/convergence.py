@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, sqrt
 
-from scipy import stats
+from scipy.special import ndtri
 
 from repro.exceptions import AnalysisError
 
@@ -53,7 +53,7 @@ def wilson_interval(
     if not 0.0 < confidence < 1.0:
         raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
 
-    z = float(stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
+    z = float(ndtri(1.0 - (1.0 - confidence) / 2.0))
     p_hat = successes / trials
     denominator = 1.0 + z**2 / trials
     centre = (p_hat + z**2 / (2 * trials)) / denominator
@@ -83,7 +83,7 @@ def trials_for_margin(
         raise AnalysisError(f"margin must be positive, got {margin}")
     if not 0.0 < confidence < 1.0:
         raise AnalysisError(f"confidence must be in (0, 1), got {confidence}")
-    z = float(stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
+    z = float(ndtri(1.0 - (1.0 - confidence) / 2.0))
     variance = probability * (1.0 - probability)
     if variance == 0.0:
         return 1

@@ -358,11 +358,20 @@ class StreamingHistogram:
 
     def update(self, values: np.ndarray) -> None:
         """Accumulate a batch of values."""
-        values = np.asarray(values, dtype=float).ravel()
+        self._update_sorted(np.sort(np.asarray(values, dtype=float), axis=None))
+
+    def _update_sorted(self, values: np.ndarray) -> None:
+        """Accumulate an ascending 1-D batch without re-sorting it.
+
+        The extremes are the batch's ends, and one ``searchsorted`` of the
+        frozen edges gives underflow, overflow and every bin count under
+        ``np.histogram``'s rule for an edges array: each bin is
+        ``[e_i, e_{i+1})`` except the last, which is closed.
+        """
         if values.size == 0:
             return
-        self._min = min(self._min, float(values.min()))
-        self._max = max(self._max, float(values.max()))
+        self._min = min(self._min, float(values[0]))
+        self._max = max(self._max, float(values[-1]))
         if self._edges is None:
             lo, hi = self._min, self._max
             if not hi > lo:
@@ -378,9 +387,11 @@ class StreamingHistogram:
                 span = hi - lo
                 self._edges = np.linspace(lo - 0.5 * span, hi + 2.0 * span, self._bins + 1)
             self._counts = np.zeros(self._bins, dtype=np.int64)
-        self._underflow += int(np.count_nonzero(values < self._edges[0]))
-        self._overflow += int(np.count_nonzero(values > self._edges[-1]))
-        self._counts += np.histogram(values, bins=self._edges)[0]
+        cuts = values.searchsorted(self._edges, side="left")
+        cuts[-1] = values.searchsorted(self._edges[-1], side="right")
+        self._underflow += int(cuts[0])
+        self._overflow += int(values.size - cuts[-1])
+        self._counts += np.diff(cuts)
         self._count += int(values.size)
 
     def _extended_buckets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -839,7 +850,8 @@ class _ConfigAccumulator:
         self.write_histogram = StreamingHistogram(histogram_bins, log_scale=True)
         #: time -> [consistent_count, trials_observed], insertion-ordered.
         self.refined_probes: dict[float, list[int]] = {}
-        self._refined_times = np.empty(0, dtype=float)
+        #: Base probe times, then refined ones: what one update counts.
+        self._probe_times = times_ms
         self._kept: list[WARSTrialResult] | None = [] if keep_samples else None
 
     def spawn_empty(self) -> "_ConfigAccumulator":
@@ -875,7 +887,7 @@ class _ConfigAccumulator:
             self.refined_probes[time] = [0, 0]
             added = True
         if added:
-            self._refined_times = np.asarray(list(self.refined_probes), dtype=float)
+            self._probe_times = np.concatenate((self.times_ms, list(self.refined_probes)))
 
     def probe_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(times, counts, observed)`` over base + refined probes, time-sorted.
@@ -933,7 +945,7 @@ class _ConfigAccumulator:
                 entry = self.refined_probes.setdefault(time, [0, 0])
                 entry[0] += count
                 entry[1] += seen
-            self._refined_times = np.asarray(list(self.refined_probes), dtype=float)
+            self._probe_times = np.concatenate((self.times_ms, list(self.refined_probes)))
         if self._kept is not None and other._kept is not None:
             self._kept.extend(other._kept)
         elif (self._kept is None) != (other._kept is None) and other.trials:
@@ -943,21 +955,25 @@ class _ConfigAccumulator:
             )
 
     def update(self, result: WARSTrialResult) -> None:
-        thresholds = result.staleness_thresholds_ms
-        self.trials += thresholds.size
-        if self.times_ms.size:
-            self.consistent_counts += np.count_nonzero(
-                thresholds[:, None] <= self.times_ms[None, :], axis=0
-            )
-        if self.refined_probes:
-            refined_counts = np.count_nonzero(
-                thresholds[:, None] <= self._refined_times[None, :], axis=0
-            )
-            for entry, count in zip(self.refined_probes.values(), refined_counts):
-                entry[0] += int(count)
-                entry[1] += thresholds.size
-        self.nonpositive_thresholds += int(np.count_nonzero(thresholds <= 0.0))
-        self.threshold_histogram.update(thresholds)
+        """Fold one block of trials in, sorting each result column once.
+
+        Every column is sorted into a copy: a result's arrays are views of
+        the batch, shared with the other configurations, or kept as samples.
+        On the sorted thresholds, ``searchsorted(..., side="right")`` counts
+        ``thresholds <= t`` for every probe at once, and the threshold
+        histogram bins the same sorted array.
+        """
+        thresholds = np.sort(result.staleness_thresholds_ms)
+        size = thresholds.size
+        self.trials += size
+        counts = thresholds.searchsorted(self._probe_times, side="right")
+        base = self.times_ms.size
+        self.consistent_counts += counts[:base]
+        for entry, count in zip(self.refined_probes.values(), counts[base:]):
+            entry[0] += int(count)
+            entry[1] += size
+        self.nonpositive_thresholds += int(thresholds.searchsorted(0.0, side="right"))
+        self.threshold_histogram._update_sorted(thresholds)
         self.read_histogram.update(result.read_latencies_ms)
         self.write_histogram.update(result.commit_latencies_ms)
         if self._kept is not None:

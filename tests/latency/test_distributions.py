@@ -18,7 +18,9 @@ from repro.latency.distributions import (
     ShiftedLatency,
     UniformLatency,
 )
-from repro.latency.empirical import QuantileTableDistribution
+from repro.latency.composite import wan_replica_model
+from repro.latency.empirical import EmpiricalDistribution, QuantileTableDistribution
+from repro.latency.production import lnkd_disk
 
 
 class TestExponentialLatency:
@@ -274,3 +276,43 @@ def test_constructors_reject_non_finite_parameters(construct, value):
     both must fail at construction, not as a NaN answer or a numpy error."""
     with pytest.raises(DistributionError, match="must be finite"):
         construct(value)
+
+
+#: One instance of every distribution family; the WAN leg has no closed-form
+#: cdf and answers through the sampling fallback.
+_CDF_FAMILIES = (
+    ("exponential", ExponentialLatency(rate=0.5)),
+    ("uniform", UniformLatency(low=1.0, high=4.0)),
+    ("pareto", ParetoLatency(xm=1.0, alpha=2.5)),
+    ("normal", NormalLatency(mu=5.0, sigma=2.0)),
+    ("lognormal", LogNormalLatency(mu=0.5, sigma=0.8)),
+    ("constant", ConstantLatency(value=2.0)),
+    ("shifted", ShiftedLatency(base=ExponentialLatency(rate=1.0), offset=2.0)),
+    ("scaled", ScaledLatency(base=ParetoLatency(xm=1.0, alpha=3.0), factor=2.0)),
+    ("empirical", EmpiricalDistribution(observations=np.array([1.0, 2.0, 2.0, 7.0]))),
+    (
+        "quantile-table",
+        QuantileTableDistribution.from_percentiles([(50.0, 3.0)], minimum=1.0, maximum=9.0),
+    ),
+    ("mixture", lnkd_disk().w),
+    ("sampling-fallback", wan_replica_model(ExponentialLatency(rate=1.0), 3)),
+)
+
+
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+@pytest.mark.parametrize(
+    "distribution", [family for _, family in _CDF_FAMILIES], ids=[id_ for id_, _ in _CDF_FAMILIES]
+)
+def test_cdf_rejects_nan_and_answers_infinities(distribution, shape):
+    """No latency is ``<= NaN``: ``cdf`` raises, as ``ppf`` does, where it used
+    to answer nan, 0.0 or 1.0 by family.  ``±inf`` stay valid points."""
+    if shape == "scalar":
+        nan, infinities, expected = math.nan, (-math.inf, math.inf), (0.0, 1.0)
+    else:
+        nan = np.array([[1.0, 2.0], [math.nan, 3.0]])
+        infinities = (np.array([-math.inf, 3.0, math.inf]),)
+        expected = (np.array([0.0, float(distribution.cdf(3.0)), 1.0]),)
+    with pytest.raises(DistributionError, match="NaN"):
+        distribution.cdf(nan)
+    for points, answer in zip(infinities, expected):
+        np.testing.assert_allclose(distribution.cdf(points), answer, rtol=0.0, atol=1e-12)

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DistributionError
-from repro.latency.distributions import ConstantLatency, ExponentialLatency, ParetoLatency
+from repro.latency.distributions import (
+    ConstantLatency,
+    ExponentialLatency,
+    ParetoLatency,
+    UniformLatency,
+)
 from repro.latency.empirical import EmpiricalDistribution, QuantileTableDistribution
 from repro.latency.mixture import (
     MixtureComponent,
@@ -62,6 +67,57 @@ class TestMixtureDistribution:
         mixture = pareto_exponential_mixture(0.9, xm=1.0, alpha=5.0, exponential_rate=0.1)
         samples = mixture.sample(400_000, rng)
         assert np.mean(samples) == pytest.approx(mixture.mean(), rel=0.03)
+
+
+def _choice_sample(mixture: MixtureDistribution, size: int, rng) -> np.ndarray:
+    """The earlier mixture draw, kept as the oracle: ``Generator.choice``
+    picks each sample's component, then one mask per component."""
+    weights = np.array([component.weight for component in mixture.components])
+    choices = rng.choice(len(mixture.components), size=size, p=weights)
+    samples = np.empty(size, dtype=float)
+    for index, component in enumerate(mixture.components):
+        mask = choices == index
+        count = int(np.sum(mask))
+        if count:
+            samples[mask] = component.distribution.sample(count, rng)
+    return mixture.validate_samples(samples)
+
+
+_STREAM_MIXTURES = (
+    MixtureDistribution.from_pairs([(1.0, ParetoLatency(xm=1.0, alpha=3.0))]),
+    pareto_exponential_mixture(0.9122, xm=0.235, alpha=10.0, exponential_rate=1.66),
+    MixtureDistribution.from_pairs(
+        [
+            (0.0, ConstantLatency(50.0)),
+            (0.5, UniformLatency(1.0, 2.0)),
+            (0.25, ExponentialLatency(1.0)),
+            (0.25 - 1e-10, ParetoLatency(xm=2.0, alpha=1.5)),
+        ]
+    ),
+    MixtureDistribution.from_pairs(
+        [
+            (0.3, UniformLatency(1.0, 2.0)),
+            (0.0, ExponentialLatency(1.0)),
+            (0.4, ConstantLatency(3.0)),
+            (0.3 - 1e-10, ParetoLatency(xm=5.0, alpha=2.0)),
+        ]
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "mixture", _STREAM_MIXTURES, ids=["one", "two", "four-zero-first", "four-zero-inside"]
+)
+@pytest.mark.parametrize("size", [0, 1, 4_097, 10_000])
+def test_sample_draws_the_stream_choice_draws(mixture, size):
+    """One uniform per sample picks the component by ``choice``'s own rule, so
+    the samples and the generator state after the draw are bit-identical."""
+    for seed in range(40):
+        actual_rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        actual = mixture.sample(size, actual_rng)
+        expected = _choice_sample(mixture, size, expected_rng)
+        assert np.array_equal(actual, expected)
+        assert actual_rng.random() == expected_rng.random()
 
 
 class TestParetoExponentialMixture:

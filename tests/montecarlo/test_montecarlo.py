@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.quorum import ReplicaConfig
@@ -42,6 +43,17 @@ class TestWilsonInterval:
             wilson_interval(11, 10)
         with pytest.raises(AnalysisError):
             wilson_interval(1, 10, confidence=1.5)
+
+    def test_z_score_is_the_normal_quantile_bit_for_bit(self):
+        """The z-score comes from ``scipy.special.ndtri``, which is what
+        ``scipy.stats.norm.ppf`` evaluates, so intervals keep their bits."""
+        from scipy import special, stats
+
+        quantiles = np.linspace(0.5, 0.999999, 20_001)
+        assert np.array_equal(special.ndtri(quantiles), stats.norm.ppf(quantiles))
+        for confidence in (0.9, 0.95, 0.99, 0.999):
+            upper = 1.0 - (1.0 - confidence) / 2.0
+            assert special.ndtri(upper) == stats.norm.ppf(upper)
 
 
 class TestTrialsForMargin:

@@ -9,6 +9,10 @@ metadata convention.
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,3 +113,23 @@ class TestDocstringCoverage:
                     if not (getattr(unwrapped, "__doc__", None) or "").strip():
                         missing.append(f"{module_name}.{name}.{attribute}")
         assert not missing, f"public API members without docstrings: {missing}"
+
+
+def test_import_loads_neither_scipy_stats_nor_optimize():
+    """``import repro`` pays only for what every process uses: the z-score
+    comes from ``scipy.special`` and the §5.5 fit imports ``scipy.optimize``
+    when it runs."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    probe = (
+        "import sys, repro; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert completed.stdout.strip() == "[]"
