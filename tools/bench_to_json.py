@@ -5,8 +5,8 @@ The slow suite (``pytest -m slow benchmarks/``) *asserts* the repository's
 performance claims but leaves no machine-readable trace; this emitter runs
 the same measurement bodies (the ``measure_*`` functions shared with
 ``benchmarks/test_bench_engine.py``) and writes one JSON document so the
-perf trajectory — shared-sample speedup, multiprocess scaling, simulator
-throughput — can be tracked across PRs and compared between machines.
+perf trajectory — cold ``import repro``, shared-sample speedup,
+multiprocess scaling, simulator throughput — can be tracked across PRs and compared between machines.
 
 Usage::
 
@@ -25,6 +25,8 @@ import argparse
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -44,6 +46,47 @@ def _ensure_importable() -> None:
     for entry in (REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT):
         if str(entry) not in sys.path:
             sys.path.insert(0, str(entry))
+
+
+def measure_import_repro(runs: int = 5) -> dict:
+    """Time ``import repro`` in ``runs`` fresh interpreters; report the median.
+
+    Each child times the import alone (interpreter start-up excluded) and
+    lists which of ``scipy.stats`` and ``scipy.optimize`` it loaded.  Each
+    serves one call, so neither should load with the package.
+    """
+    probe = (
+        "import json, sys, time\n"
+        "started = time.perf_counter()\n"
+        "import repro\n"
+        "seconds = time.perf_counter() - started\n"
+        "loaded = [m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules]\n"
+        "print(json.dumps({'seconds': seconds, 'loaded': loaded}))\n"
+    )
+    path = os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")))
+    )
+    samples = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+        )
+        for _ in range(runs)
+    ]
+    times = [sample["seconds"] for sample in samples]
+    loaded = {module for sample in samples for module in sample["loaded"]}
+    return {
+        "runs": runs,
+        "median_s": statistics.median(times),
+        "times_s": times,
+        "scipy_stats_loaded": "scipy.stats" in loaded,
+        "scipy_optimize_loaded": "scipy.optimize" in loaded,
+    }
 
 
 def run_benchmarks(quick: bool = False) -> dict:
@@ -72,6 +115,9 @@ def run_benchmarks(quick: bool = False) -> dict:
         "benchmarks": {},
     }
     benchmarks = document["benchmarks"]
+
+    print("cold import repro (5 fresh interpreters) ...", flush=True)
+    benchmarks["import_repro"] = measure_import_repro()
 
     print(f"engine vs per-config loop ({bench.TRIALS} trials) ...", flush=True)
     benchmarks["engine_vs_per_config_loop"] = bench.measure_engine_vs_per_config_loop()
