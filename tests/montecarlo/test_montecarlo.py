@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core.quorum import ReplicaConfig
@@ -44,16 +43,25 @@ class TestWilsonInterval:
         with pytest.raises(AnalysisError):
             wilson_interval(1, 10, confidence=1.5)
 
-    def test_z_score_is_the_normal_quantile_bit_for_bit(self):
-        """The z-score comes from ``scipy.special.ndtri``, which is what
-        ``scipy.stats.norm.ppf`` evaluates, so intervals keep their bits."""
-        from scipy import special, stats
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+    def test_bounds_keep_the_norm_ppf_bits(self, confidence):
+        """The reference is the Wilson interval with its z-score taken from
+        ``scipy.stats.norm.ppf``; the module's z-score must reproduce it
+        exactly."""
+        from scipy import stats
 
-        quantiles = np.linspace(0.5, 0.999999, 20_001)
-        assert np.array_equal(special.ndtri(quantiles), stats.norm.ppf(quantiles))
-        for confidence in (0.9, 0.95, 0.99, 0.999):
-            upper = 1.0 - (1.0 - confidence) / 2.0
-            assert special.ndtri(upper) == stats.norm.ppf(upper)
+        z = float(stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
+        for successes, trials in ((0, 50), (37, 50), (990, 1_000), (99_873, 100_000)):
+            p_hat = successes / trials
+            denominator = 1.0 + z**2 / trials
+            centre = (p_hat + z**2 / (2 * trials)) / denominator
+            half_width = (
+                z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z**2 / (4 * trials**2))
+                / denominator
+            )
+            estimate = wilson_interval(successes, trials, confidence)
+            assert estimate.lower == max(0.0, centre - half_width)
+            assert estimate.upper == min(1.0, centre + half_width)
 
 
 class TestTrialsForMargin:
@@ -66,6 +74,15 @@ class TestTrialsForMargin:
 
     def test_degenerate_probability(self):
         assert trials_for_margin(0.0, 0.01) == 1
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+    def test_keeps_the_norm_ppf_answer(self, confidence):
+        from scipy import stats
+
+        z = float(stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
+        for probability, margin in ((0.5, 0.01), (0.999, 0.0005), (0.97, 0.0001)):
+            expected = math.ceil(z**2 * (probability * (1.0 - probability)) / margin**2)
+            assert trials_for_margin(probability, margin, confidence) == expected
 
     def test_validation(self):
         with pytest.raises(AnalysisError):

@@ -48,13 +48,14 @@ def _ensure_importable() -> None:
             sys.path.insert(0, str(entry))
 
 
-def measure_import_repro(runs: int = 5) -> dict:
-    """Time ``import repro`` in ``runs`` fresh interpreters; report the median.
+def measure_import_repro() -> dict:
+    """Time ``import repro`` in 5 fresh interpreters; report the median.
 
     Each child times the import alone (interpreter start-up excluded) and
     lists which of ``scipy.stats`` and ``scipy.optimize`` it loaded.  Each
     serves one call, so neither should load with the package.
     """
+    runs = 5
     probe = (
         "import json, sys, time\n"
         "started = time.perf_counter()\n"
