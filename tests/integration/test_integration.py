@@ -182,6 +182,10 @@ class TestMultiKeyWorkloads:
 #: staleness and latency are measured from it, or the prediction moves it.
 FAST_GRID_DIGEST = "bd161c8fc93aac5cb4637f8a3e63e76b4fe289918526778ea6c333eaf599e3f8"
 
+#: The same digest for the blocked grid (``workers=1``): every cell split
+#: into seed-spawned write blocks, here one 60-write block per cell.
+BLOCKED_FAST_GRID_DIGEST = "98b1e3c4751bf8e0d2640ed5c26117aa3c4256157dd69122906dd1f6bf3c6d48"
+
 
 def _rows_digest(rows) -> str:
     text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
@@ -240,6 +244,15 @@ class TestValidationGridMatchesPerCellRuns:
         rows = run_validation_grid(trials=60, rng=5, prediction_trials=3_000).rows
         assert len(rows) == 27
         assert _rows_digest(rows) == FAST_GRID_DIGEST
+
+    def test_blocked_fast_grid_rows_match_golden_digest(self):
+        from repro.experiments.validation import run_validation_grid
+
+        rows = run_validation_grid(
+            trials=60, rng=5, prediction_trials=3_000, workers=1
+        ).rows
+        assert len(rows) == 27
+        assert _rows_digest(rows) == BLOCKED_FAST_GRID_DIGEST
 
     @pytest.mark.slow
     def test_grid_matches_per_cell_runs_at_5k_writes(self):
