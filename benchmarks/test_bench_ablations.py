@@ -46,7 +46,7 @@ def _staleness_rate(read_repair: bool, fanout_all: bool, seed: int = 17) -> floa
     )
     WorkloadRunner(cluster).run(operations)
     observations = observe_staleness(cluster.trace_log, key="k")
-    return 1.0 - float(np.mean([obs.consistent for obs in observations]))
+    return 1.0 - float(np.mean(observations.consistent))
 
 
 @pytest.mark.benchmark(group="ablations")

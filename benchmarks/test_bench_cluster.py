@@ -34,7 +34,7 @@ import pytest
 
 from repro.analysis.staleness import (
     measured_t_visibility,
-    observe_staleness_frame,
+    observe_staleness,
     operation_latencies,
 )
 from repro.analysis.validation import run_validation
@@ -166,7 +166,7 @@ def measure_trace_analytics(writes: int = 50_000, seed: int = 0) -> dict:
         gc.disable()
         try:
             start = time.perf_counter()
-            frame = observe_staleness_frame(trace_log)
+            frame = observe_staleness(trace_log)
             for target in (0.9, 0.99, 0.999, 0.9999):
                 measured_t_visibility(frame, target)
             operation_latencies(trace_log)

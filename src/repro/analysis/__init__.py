@@ -13,7 +13,6 @@ from repro.analysis.staleness import (
     k_staleness_fraction,
     measured_t_visibility,
     observe_staleness,
-    observe_staleness_frame,
     operation_latencies,
     version_lags,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "k_staleness_fraction",
     "measured_t_visibility",
     "observe_staleness",
-    "observe_staleness_frame",
     "operation_latencies",
     "version_lags",
     "BinnedSeries",

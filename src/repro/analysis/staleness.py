@@ -29,7 +29,6 @@ __all__ = [
     "StalenessObservation",
     "StalenessFrame",
     "observe_staleness",
-    "observe_staleness_frame",
     "consistency_by_time",
     "measured_t_visibility",
     "version_lags",
@@ -61,7 +60,8 @@ class StalenessFrame:
     :func:`measured_t_visibility`, :func:`version_lags`,
     :func:`k_staleness_fraction`) accept a frame directly, skipping the
     per-observation attribute walks; :meth:`observations` materialises the
-    object list when row objects are genuinely needed.
+    object list when row objects are genuinely needed, and :meth:`concat`
+    joins the frames of independent runs.
     """
 
     operation_ids: np.ndarray
@@ -74,6 +74,30 @@ class StalenessFrame:
 
     def __len__(self) -> int:
         return int(self.operation_ids.shape[0])
+
+    @classmethod
+    def concat(cls, frames: Sequence["StalenessFrame"]) -> "StalenessFrame":
+        """Join frames row-wise, in order.
+
+        Each frame's key ids index its own run's string table, so they are
+        remapped into one joined key table (each string once).
+        """
+        joined: dict[str, int] = {}
+        key_ids = []
+        for frame in frames:
+            remap = np.array(
+                [joined.setdefault(key, len(joined)) for key in frame.key_table],
+                dtype=np.int64,
+            )
+            key_ids.append(remap[frame.key_ids])
+        return cls(
+            operation_ids=np.concatenate([frame.operation_ids for frame in frames]),
+            key_ids=np.concatenate(key_ids),
+            key_table=tuple(joined),
+            t_since_commit_ms=np.concatenate([frame.t_since_commit_ms for frame in frames]),
+            consistent=np.concatenate([frame.consistent for frame in frames]),
+            version_lag=np.concatenate([frame.version_lag for frame in frames]),
+        )
 
     def observations(self) -> list[StalenessObservation]:
         """Materialise the equivalent ``StalenessObservation`` list."""
@@ -103,26 +127,15 @@ def _empty_frame() -> StalenessFrame:
 
 def observe_staleness(
     trace_log: ColumnarTraceLog, key: str | None = None
-) -> list[StalenessObservation]:
-    """Extract per-read staleness observations from a trace log.
+) -> StalenessFrame:
+    """Extract per-read staleness observations from a trace log, as columns.
 
     Reads that start before any write commits are skipped (there is nothing to
     be stale against).  Reads may return versions newer than the latest commit
     at their start time (in-flight writes); the paper counts these as
-    consistent, and so do we.  This is :func:`observe_staleness_frame` with
-    its rows materialised as :class:`StalenessObservation` objects.
-    """
-    return observe_staleness_frame(trace_log, key).observations()
-
-
-def observe_staleness_frame(
-    trace_log: ColumnarTraceLog, key: str | None = None
-) -> StalenessFrame:
-    """Like :func:`observe_staleness`, but returns the columns themselves.
-
-    This is the all-array endpoint of the columnar pipeline: no per-read
-    Python objects are built, and the result feeds straight into the curve
-    functions.
+    consistent, and so do we.  No per-read Python objects are built: the
+    frame feeds straight into the curve functions, and
+    :meth:`StalenessFrame.observations` gives the row objects.
 
     Versions are encoded as ``timestamp * modulus + writer_rank`` (writer
     ranks taken over the *sorted* string table), which replicates the

@@ -25,15 +25,15 @@ builds per-operation containers.  Per-operation attribute access goes through
 lazy row views (:class:`ColumnarWriteTrace` / :class:`ColumnarReadTrace`)
 materialised only when somebody asks.
 
-``ColumnarTraceLog.merge`` concatenates logs column-wise in block order —
-the same contract the sharded sweep engine relies on everywhere else — so a
-sharded run's merged log is bit-for-bit the serial log.
+Each simulated cluster owns one log, and every log's clock starts at 0.
+Blocked runs (:mod:`repro.analysis.blocks`) therefore never join logs: each
+block is analysed on its own and the staleness frames are joined instead.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -47,50 +47,49 @@ __all__ = [
 
 _NO_VERSION = -1  # sentinel for "replica answered with no value" / "read returned None"
 
-#: Every column of a :class:`ColumnarTraceLog`: attribute name → (view dtype,
-#: what a value refers to).  ``"string"`` values are string-table ids
-#: (``_NO_VERSION`` passes through) and ``"write_row"``/``"read_row"`` values
-#: are row numbers, which :meth:`ColumnarTraceLog.merge` remaps and offsets.
-#: Per-replica event columns come in groups sharing a prefix: ``_wa_``
-#: write arrivals (W leg), ``_wk_`` write acks (W + A legs), ``_wd_`` write
-#: drops, ``_rr_`` read responses (R + S legs), ``_rq_``/``_rl_`` the
+#: Every column of a :class:`ColumnarTraceLog`: attribute name → view dtype.
+#: Key, writer, coordinator and node columns hold string-table ids
+#: (``_NO_VERSION`` passes through); ``*_row`` columns hold write or read row
+#: numbers.  Per-replica event columns come in groups sharing a prefix:
+#: ``_wa_`` write arrivals (W leg), ``_wk_`` write acks (W + A legs), ``_wd_``
+#: write drops, ``_rr_`` read responses (R + S legs), ``_rq_``/``_rl_`` the
 #: version of each response counted among the first R / arriving late.
-_COLUMNS: dict[str, tuple[str, str]] = {
-    "_w_op": ("int64", "value"),
-    "_w_key": ("int64", "string"),
-    "_w_ver_ts": ("int64", "value"),
-    "_w_ver_writer": ("int64", "string"),
-    "_w_coord": ("int64", "string"),
-    "_w_started": ("float64", "value"),
-    "_w_committed": ("float64", "value"),
-    "_wa_row": ("int64", "write_row"),
-    "_wa_node": ("int64", "string"),
-    "_wa_time": ("float64", "value"),
-    "_wk_row": ("int64", "write_row"),
-    "_wk_node": ("int64", "string"),
-    "_wk_time": ("float64", "value"),
-    "_wd_row": ("int64", "write_row"),
-    "_wd_node": ("int64", "string"),
-    "_r_op": ("int64", "value"),
-    "_r_key": ("int64", "string"),
-    "_r_coord": ("int64", "string"),
-    "_r_started": ("float64", "value"),
-    "_r_completed": ("float64", "value"),
-    "_r_timeout": ("int64", "value"),
-    "_r_ret_ts": ("int64", "value"),
-    "_r_ret_writer": ("int64", "string"),
-    "_r_repairs": ("int64", "value"),
-    "_rr_row": ("int64", "read_row"),
-    "_rr_node": ("int64", "string"),
-    "_rr_time": ("float64", "value"),
-    "_rq_row": ("int64", "read_row"),
-    "_rq_node": ("int64", "string"),
-    "_rq_ts": ("int64", "value"),
-    "_rq_writer": ("int64", "string"),
-    "_rl_row": ("int64", "read_row"),
-    "_rl_node": ("int64", "string"),
-    "_rl_ts": ("int64", "value"),
-    "_rl_writer": ("int64", "string"),
+_COLUMNS: dict[str, str] = {
+    "_w_op": "int64",
+    "_w_key": "int64",
+    "_w_ver_ts": "int64",
+    "_w_ver_writer": "int64",
+    "_w_coord": "int64",
+    "_w_started": "float64",
+    "_w_committed": "float64",
+    "_wa_row": "int64",
+    "_wa_node": "int64",
+    "_wa_time": "float64",
+    "_wk_row": "int64",
+    "_wk_node": "int64",
+    "_wk_time": "float64",
+    "_wd_row": "int64",
+    "_wd_node": "int64",
+    "_r_op": "int64",
+    "_r_key": "int64",
+    "_r_coord": "int64",
+    "_r_started": "float64",
+    "_r_completed": "float64",
+    "_r_timeout": "int64",
+    "_r_ret_ts": "int64",
+    "_r_ret_writer": "int64",
+    "_r_repairs": "int64",
+    "_rr_row": "int64",
+    "_rr_node": "int64",
+    "_rr_time": "float64",
+    "_rq_row": "int64",
+    "_rq_node": "int64",
+    "_rq_ts": "int64",
+    "_rq_writer": "int64",
+    "_rl_row": "int64",
+    "_rl_node": "int64",
+    "_rl_ts": "int64",
+    "_rl_writer": "int64",
 }
 
 
@@ -560,7 +559,7 @@ class ColumnarTraceLog:
         cache = self._query_cache()
         view = cache.get(name)
         if view is None:
-            view = cache[name] = np.asarray(getattr(self, name), dtype=_COLUMNS[name][0])
+            view = cache[name] = np.asarray(getattr(self, name), dtype=_COLUMNS[name])
         return view
 
     def _positions(self, rows: str, row: int) -> np.ndarray:
@@ -695,29 +694,3 @@ class ColumnarTraceLog:
         self._string_ids = _StringTable()
         self._strings = self._string_ids.strings
         self._mutations += 1
-
-    # ------------------------------------------------------------------
-    # Block merge (sharded runs).
-    # ------------------------------------------------------------------
-    @classmethod
-    def merge(cls, logs: Sequence["ColumnarTraceLog"]) -> "ColumnarTraceLog":
-        """Concatenate logs column-wise in block order.
-
-        String ids and event row references are remapped, so merging the
-        per-block logs of a sharded run reproduces the serial log's query
-        results exactly (same rows, same order, same strings).
-        """
-        merged = cls()
-        for log in logs:
-            remap = [merged._string_ids[value] for value in log._strings]
-            offsets = {"write_row": len(merged._w_op), "read_row": len(merged._r_op)}
-            for name, (_, kind) in _COLUMNS.items():
-                source = getattr(log, name)
-                if kind == "string":
-                    source = [_NO_VERSION if v == _NO_VERSION else remap[v] for v in source]
-                elif kind != "value":
-                    offset = offsets[kind]
-                    source = [v + offset for v in source]
-                getattr(merged, name).extend(source)
-            merged._mutations += 1
-        return merged

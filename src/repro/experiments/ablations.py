@@ -116,7 +116,7 @@ def _run_cluster_workload(
     )
     WorkloadRunner(cluster).run(operations)
     observations = observe_staleness(cluster.trace_log, key=key)
-    staleness_rate = 1.0 - float(np.mean([obs.consistent for obs in observations]))
+    staleness_rate = 1.0 - float(np.mean(observations.consistent))
     reads_served_per_replica = [node.served_reads for node in cluster.replicas_for(key)]
     return {
         "observations": float(len(observations)),

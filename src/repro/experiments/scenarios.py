@@ -70,7 +70,7 @@ def run_scenario_experiment(
     rng: np.random.Generator | int | None = 0,
     name: str = "baseline",
     prediction_trials: int = 100_000,
-    workers: int | None = None,
+    workers: int = 1,
     draw_batch_size: int | None = None,
 ) -> ExperimentResult:
     """Run one registered scenario and report its model-vs-sim divergence."""
@@ -102,7 +102,7 @@ def run_scenario_matrix_experiment(
     trials: int = 2_000,
     rng: np.random.Generator | int | None = 0,
     prediction_trials: int = 100_000,
-    workers: int | None = None,
+    workers: int = 1,
     draw_batch_size: int | None = None,
 ) -> ExperimentResult:
     """Run every registered scenario and tabulate divergence side by side."""

@@ -53,7 +53,7 @@ def run_validation_grid(
     config: ReplicaConfig | None = None,
     configs: "tuple[ReplicaConfig, ...] | list[ReplicaConfig] | None" = None,
     prediction_trials: int = 100_000,
-    workers: int | None = None,
+    workers: int = 1,
     draw_batch_size: int | None = None,
 ) -> ExperimentResult:
     """Run the predicted-vs-observed comparison over the full §5.2 grid.
@@ -74,9 +74,9 @@ def run_validation_grid(
         configs: Replication configurations to sweep; defaults to
             :data:`VALIDATION_CONFIGS`.
         workers: Forwarded to :func:`~repro.analysis.validation.run_validation`:
-            ``None`` keeps the serial single-cluster path per cell; an integer
-            switches each cell to seed-spawned write blocks, farmed to a
-            process pool when > 1 (results identical for any worker count).
+            each cell's seed-spawned write blocks run on a process pool of
+            this size (``1``, the default, runs them serially; results are
+            identical for any worker count).
         draw_batch_size: Network draw-buffer size per simulated cluster
             (default: the cluster's own default; ``1`` is the legacy
             per-message sampling stream).
@@ -88,9 +88,7 @@ def run_validation_grid(
     )
     generator = as_rng(rng)
     rows = []
-    validation_kwargs: dict = {}
-    if workers is not None:
-        validation_kwargs["workers"] = workers
+    validation_kwargs: dict = {"workers": workers}
     if draw_batch_size is not None:
         validation_kwargs["draw_batch_size"] = draw_batch_size
     for swept_config in swept_configs:

@@ -17,13 +17,14 @@ recover").
 
 Determinism
 -----------
-The measured side reuses :func:`run_scenario`'s exact seed discipline — the
-root seed's first two children are the predictor seed and the blocks root, in
-that order — so the simulated run here is bit-for-bit the one
-``run_scenario(name, writes=…, rng=…)`` measures.  Blocks run serially
-(trace logs must be kept, and harvesting is cheap next to simulation).  The
-R/S split draws come from a third child of the root, consumed in trace
-order, making the harvested sample stream reproducible end to end.
+The measured side is :func:`run_scenario`'s own: the same blocked-run driver
+(:func:`repro.analysis.blocks.run_blocks`) runs the same
+:func:`~repro.scenarios.divergence.scenario_block` on the same seeds, so the
+simulated run here is bit-for-bit the one ``run_scenario(name, writes=…,
+rng=…)`` measures.  Blocks run serially and each keeps its trace log.  The
+R/S split draws come from the root seed's third child, consumed in trace
+order across blocks, so the harvested sample stream is one seeded stream,
+reproducible end to end; the fourth child seeds the serving stack.
 
 Harvesting
 ----------
@@ -39,22 +40,20 @@ legs either.
 
 from __future__ import annotations
 
-import math
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from repro.analysis.staleness import consistency_by_time, observe_staleness
-from repro.analysis.validation import _block_sizes, _root_entropy
+from repro.analysis.blocks import populated_bins, run_blocks
 from repro.analytic.predictor import AnalyticPredictor
-from repro.cluster.client import WorkloadRunner
 from repro.cluster.sampling import DEFAULT_DRAW_BATCH_SIZE
-from repro.cluster.store import DynamoCluster
 from repro.core.quorum import ReplicaConfig
 from repro.exceptions import ScenarioError
-from repro.scenarios.divergence import SCENARIO_BLOCK_WRITES
-from repro.scenarios.registry import ScenarioContext, get_scenario
+from repro.scenarios.divergence import SCENARIO_BLOCK_WRITES, scenario_block
+from repro.scenarios.registry import get_scenario
 from repro.serving.service import PredictorService
 
 __all__ = [
@@ -213,7 +212,7 @@ def run_adaptive_recovery(
     windows: int = 8,
     recovery_threshold: float = 0.5,
     bin_width_ms: float = 5.0,
-    block_writes: int | None = None,
+    block_writes: int = SCENARIO_BLOCK_WRITES,
     draw_batch_size: int = DEFAULT_DRAW_BATCH_SIZE,
     refit_method: str = "empirical",
     reservoir_capacity: int = 8_192,
@@ -243,8 +242,6 @@ def run_adaptive_recovery(
     scenario = get_scenario(name)
     if config is None:
         config = ReplicaConfig(n=3, r=1, w=1)
-    if writes < 10:
-        raise ScenarioError(f"at least 10 writes are required, got {writes}")
     if windows < 1:
         raise ScenarioError(f"at least one window is required, got {windows}")
     if not 0.0 < recovery_threshold < 1.0:
@@ -252,65 +249,36 @@ def run_adaptive_recovery(
             f"recovery threshold must be in (0, 1), got {recovery_threshold}"
         )
 
-    root = np.random.SeedSequence(_root_entropy(rng))
-    # First two children in run_scenario's order (predictor, blocks) keep the
-    # measured side bit-for-bit identical to the divergence harness; the
-    # extra children seed the R/S splits and the serving stack.
-    _predictor_seed, blocks_root = root.spawn(2)
-    split_seed, service_seed = root.spawn(2)
+    # --- Measured side: run_scenario's blocks, each keeping its trace log. ---
+    run = run_blocks(
+        functools.partial(
+            scenario_block,
+            scenario_name=scenario.name,
+            config=config,
+            draw_batch_size=draw_batch_size,
+            extract=operator.attrgetter("trace_log"),
+        ),
+        writes=writes,
+        block_writes=block_writes,
+        rng=rng,
+        workers=1,
+        error=ScenarioError,
+    )
+    if not len(run.frame):
+        raise ScenarioError(f"scenario {name!r} produced no staleness observations")
+    split_seed, service_seed = run.root.spawn(2)
     split_rng = np.random.default_rng(split_seed)
-
-    # --- Measured side: serial blocks, trace logs harvested per block. ---
-    sizes = _block_sizes(writes, block_writes or SCENARIO_BLOCK_WRITES)
-    seeds = blocks_root.spawn(len(sizes))
-    observations = []
     samples: list[LegSample] = []
     offset_ms = 0.0
-    for size, seed in zip(sizes, seeds):
-        cluster_seed, context_seed = seed.spawn(2)
-        cluster = DynamoCluster(
-            config=config,
-            distributions=scenario.distributions_for_cluster(),
-            rng=np.random.default_rng(cluster_seed),
-            draw_batch_size=draw_batch_size,
-            **scenario.cluster_kwargs,
-        )
-        context = ScenarioContext(
-            writes=size,
-            write_interval_ms=scenario.write_interval_ms,
-            read_offsets_ms=scenario.read_offsets_ms,
-            horizon_ms=size * scenario.write_interval_ms,
-            rng=np.random.default_rng(context_seed),
-        )
-        operations = scenario.build_operations(context)
-        if scenario.setup is not None:
-            scenario.setup(cluster, context)
-        WorkloadRunner(cluster).run(operations)
-        observations.extend(observe_staleness(cluster.trace_log))
-        samples.extend(
-            harvest_wars_observations(cluster.trace_log, offset_ms, split_rng)
-        )
-        offset_ms += context.horizon_ms
-    if not observations:
-        raise ScenarioError(f"scenario {name!r} produced no staleness observations")
+    for size, trace_log in zip(run.sizes, run.extras):
+        samples.extend(harvest_wars_observations(trace_log, offset_ms, split_rng))
+        offset_ms += size * scenario.write_interval_ms
     if not samples:
         raise ScenarioError(f"scenario {name!r} produced no harvestable leg samples")
 
     # --- Measured consistency curve at populated bins (run_scenario's). ---
-    max_t = max(obs.t_since_commit_ms for obs in observations)
-    bin_edges = np.arange(0.0, max_t + bin_width_ms, bin_width_ms)
-    if bin_edges.size < 2:
-        bin_edges = np.array([0.0, max(max_t, bin_width_ms)])
-    binned = consistency_by_time(observations, bin_edges)
-    probe_ts: list[float] = []
-    measured_curve: list[float] = []
-    for center, fraction, count in zip(binned.bin_centers, binned.fractions, binned.counts):
-        if count == 0 or not np.isfinite(fraction):
-            continue
-        probe_ts.append(max(center, 0.0))
-        measured_curve.append(float(fraction))
-    if not probe_ts:
-        raise ScenarioError("no populated time bins; widen the bins or add reads")
+    centers, measured_curve = populated_bins(run.frame, bin_width_ms, ScenarioError)
+    probe_ts = [max(center, 0.0) for center in centers]
     measured = np.asarray(measured_curve)
 
     # --- Static baseline: the unmutated analytic model's divergence. ---
@@ -383,7 +351,7 @@ def run_adaptive_recovery(
         scenario=scenario.name,
         config=config,
         writes=writes,
-        observations=len(observations),
+        observations=len(run.frame),
         harvested_samples=len(samples),
         static_mean_abs_delta_p=static_mean,
         recovery_threshold=float(recovery_threshold),

@@ -9,16 +9,17 @@ percentile N-RMSE.  For the benign ``baseline`` scenario the divergence is
 the paper's §5.2 validation error (RMSE ≤ 1%); for hostile scenarios it
 quantifies exactly what each violated assumption costs the model.
 
-Sharding
---------
-Scenario runs always use the blocked discipline of
-:mod:`repro.analysis.validation`: writes split into independent blocks of
+Blocks
+------
+Scenario runs go through the blocked-run driver
+(:mod:`repro.analysis.blocks`): writes split into independent blocks of
 :data:`SCENARIO_BLOCK_WRITES`, one cluster per block, block seeds spawned
 from a single root :class:`numpy.random.SeedSequence`, measurements merged
 in block order.  The block structure depends only on ``writes``, so results
 are **bit-for-bit identical for any worker count** — the property the
-reduced-scale conformance tests pin.  Block specs ship only the scenario
-*name* across process boundaries; workers re-resolve it from the registry.
+reduced-scale conformance tests pin.  :func:`scenario_block` takes only the
+scenario *name* across process boundaries; workers re-resolve it from the
+registry.
 
 Hostile events (partitions, crashes, churn) are scheduled per block at
 fractions of the block horizon, so a sharded run experiences the hostile
@@ -28,22 +29,21 @@ serial and sharded runs identical.
 
 from __future__ import annotations
 
+import functools
 import math
-import multiprocessing
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.analysis.blocks import Block, populated_bins, run_blocks
 from repro.analysis.staleness import (
-    StalenessObservation,
-    consistency_by_time,
     measured_t_visibility,
     observe_staleness,
     operation_latencies,
 )
 from repro.analysis.statistics import rmse
-from repro.analysis.validation import _block_sizes, _root_entropy
 from repro.analytic.predictor import AnalyticPredictor
 from repro.cluster.client import WorkloadRunner
 from repro.cluster.sampling import DEFAULT_DRAW_BATCH_SIZE
@@ -52,12 +52,13 @@ from repro.core.quorum import ReplicaConfig
 from repro.core.wars import WARSModel
 from repro.exceptions import PBSError, ScenarioError
 from repro.latency.percentiles import normalized_rmse
-from repro.scenarios.registry import Scenario, ScenarioContext, get_scenario
+from repro.scenarios.registry import ScenarioContext, get_scenario
 
 __all__ = [
     "ScenarioDivergence",
     "run_scenario",
     "run_scenario_matrix",
+    "scenario_block",
     "validate_divergence",
     "SCENARIO_BLOCK_WRITES",
     "DEFAULT_T_VISIBILITY_TARGETS",
@@ -158,95 +159,49 @@ class ScenarioDivergence:
 
 
 # ---------------------------------------------------------------------------
-# Blocked measurement.
+# One block of a scenario run.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ScenarioBlockSpec:
-    """Picklable description of one scenario simulation block.
+def scenario_block(
+    size: int,
+    seed: np.random.SeedSequence,
+    scenario_name: str,
+    config: ReplicaConfig,
+    draw_batch_size: int,
+    extract: Callable = operator.attrgetter("network.dropped_messages"),
+) -> Block:
+    """Run one block of a registered scenario and extract its measurements.
 
-    Carries the scenario *name*, not the scenario: hooks are arbitrary
-    callables, so workers re-resolve the registered object instead.
+    The block seed's two children seed the mutated cluster and the
+    scenario's own stream, in that order.  ``extract(cluster)`` is the
+    block's :attr:`~repro.analysis.blocks.Block.extra`; by default it counts
+    the dropped messages.  The scenario travels by *name*: hooks are
+    arbitrary callables, so pool workers re-resolve the registered object.
     """
-
-    scenario_name: str
-    config: ReplicaConfig
-    writes: int
-    seed: np.random.SeedSequence
-    draw_batch_size: int
-
-
-def _run_scenario_block(
-    spec: _ScenarioBlockSpec,
-) -> tuple[list[StalenessObservation], np.ndarray, np.ndarray, int]:
-    """Run one block's mutated cluster and extract its measurements."""
-    scenario = get_scenario(spec.scenario_name)
-    cluster_seed, context_seed = spec.seed.spawn(2)
+    scenario = get_scenario(scenario_name)
+    cluster_seed, context_seed = seed.spawn(2)
     cluster = DynamoCluster(
-        config=spec.config,
+        config=config,
         distributions=scenario.distributions_for_cluster(),
         rng=np.random.default_rng(cluster_seed),
-        draw_batch_size=spec.draw_batch_size,
+        draw_batch_size=draw_batch_size,
         **scenario.cluster_kwargs,
     )
     context = ScenarioContext(
-        writes=spec.writes,
+        writes=size,
         write_interval_ms=scenario.write_interval_ms,
         read_offsets_ms=scenario.read_offsets_ms,
-        horizon_ms=spec.writes * scenario.write_interval_ms,
+        horizon_ms=size * scenario.write_interval_ms,
         rng=np.random.default_rng(context_seed),
     )
     operations = scenario.build_operations(context)
     if scenario.setup is not None:
         scenario.setup(cluster, context)
     WorkloadRunner(cluster).run(operations)
-    observations = observe_staleness(cluster.trace_log)
+    frame = observe_staleness(cluster.trace_log)
     measured_reads, measured_writes = operation_latencies(cluster.trace_log)
-    return observations, measured_reads, measured_writes, cluster.network.dropped_messages
-
-
-def _measure_scenario(
-    scenario: Scenario,
-    config: ReplicaConfig,
-    writes: int,
-    root: np.random.SeedSequence,
-    block_writes: int,
-    draw_batch_size: int,
-    workers: int,
-) -> tuple[list[StalenessObservation], np.ndarray, np.ndarray, int]:
-    """Run the measured side as independent blocks, serially or on a pool."""
-    sizes = _block_sizes(writes, block_writes)
-    seeds = root.spawn(len(sizes))
-    specs = [
-        _ScenarioBlockSpec(
-            scenario_name=scenario.name,
-            config=config,
-            writes=size,
-            seed=seed,
-            draw_batch_size=draw_batch_size,
-        )
-        for size, seed in zip(sizes, seeds)
-    ]
-    if workers > 1 and len(specs) > 1:
-        start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        with multiprocessing.get_context(start_method).Pool(
-            processes=min(workers, len(specs))
-        ) as pool:
-            results = pool.map(_run_scenario_block, specs, chunksize=1)
-    else:
-        results = [_run_scenario_block(spec) for spec in specs]
-
-    observations: list[StalenessObservation] = []
-    read_blocks: list[np.ndarray] = []
-    write_blocks: list[np.ndarray] = []
-    dropped = 0
-    for block_observations, block_reads, block_writes_lat, block_dropped in results:
-        observations.extend(block_observations)
-        read_blocks.append(block_reads)
-        write_blocks.append(block_writes_lat)
-        dropped += block_dropped
-    return observations, np.concatenate(read_blocks), np.concatenate(write_blocks), dropped
+    return Block(frame, measured_reads, measured_writes, extract(cluster))
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +218,15 @@ def run_scenario(
     bin_width_ms: float = 5.0,
     t_visibility_targets: Sequence[float] = DEFAULT_T_VISIBILITY_TARGETS,
     rng: np.random.Generator | int | None = 0,
-    workers: int | None = None,
-    block_writes: int | None = None,
+    workers: int = 1,
+    block_writes: int = SCENARIO_BLOCK_WRITES,
     draw_batch_size: int = DEFAULT_DRAW_BATCH_SIZE,
 ) -> ScenarioDivergence:
     """Run one registered scenario and report model-vs-simulation divergence.
 
     The simulator runs under the scenario's mutated conditions; both
     predictors run under the scenario's unmutated ``base_distributions``.
-    Unlike :func:`~repro.analysis.validation.run_validation`, the blocked
-    path is *always* used (``workers=None`` simply runs the blocks serially),
-    so output is bit-for-bit identical for any worker count by construction.
+    Output is bit-for-bit identical for any worker count.
 
     Args:
         name: A registered scenario name (see
@@ -282,33 +235,27 @@ def run_scenario(
             50,000; conformance tests use 2,000).
         config: Replication configuration; defaults to the paper's
             ``N=3, R=1, W=1`` validation cell.
-        workers: Block-level process parallelism (``None`` or ``1`` = serial).
-        block_writes: Override :data:`SCENARIO_BLOCK_WRITES`.
+        workers: Block-level process parallelism (``1`` = serial).
+        block_writes: Writes per independent block (at least 10).
     """
     scenario = get_scenario(name)
     if config is None:
         config = ReplicaConfig(n=3, r=1, w=1)
-    if writes < 10:
-        raise ScenarioError(f"at least 10 writes are required, got {writes}")
-    if workers is not None and workers < 1:
-        raise ScenarioError(f"workers must be >= 1, got {workers}")
-    if block_writes is not None and block_writes < 10:
-        raise ScenarioError(f"block_writes must be >= 10, got {block_writes}")
-
-    root = np.random.SeedSequence(_root_entropy(rng))
-    # Dedicated predictor child before the block seeds, mirroring
-    # run_validation, so measured and predicted streams are independent.
-    predictor_seed, blocks_root = root.spawn(2)
-    observations, measured_reads, measured_writes, dropped = _measure_scenario(
-        scenario=scenario,
-        config=config,
+    run = run_blocks(
+        functools.partial(
+            scenario_block,
+            scenario_name=scenario.name,
+            config=config,
+            draw_batch_size=draw_batch_size,
+        ),
         writes=writes,
-        root=blocks_root,
-        block_writes=block_writes or SCENARIO_BLOCK_WRITES,
-        draw_batch_size=draw_batch_size,
-        workers=workers or 1,
+        block_writes=block_writes,
+        rng=rng,
+        workers=workers,
+        error=ScenarioError,
     )
-    if not observations:
+    observations = run.frame
+    if not len(observations):
         raise ScenarioError(
             f"scenario {name!r} produced no staleness observations"
         )
@@ -316,7 +263,7 @@ def run_scenario(
     # --- Predicted side: unmutated WARS assumptions. ---
     base = scenario.base_distributions()
     predicted = WARSModel(distributions=base, config=config).sample(
-        prediction_trials, np.random.default_rng(predictor_seed)
+        prediction_trials, np.random.default_rng(run.predictor_seed)
     )
     try:
         analytic = AnalyticPredictor(distributions=base).result(config)
@@ -325,29 +272,15 @@ def run_scenario(
         analytic = None
 
     # --- Consistency curves at the populated measurement bins. ---
-    max_t = max(obs.t_since_commit_ms for obs in observations)
-    bin_edges = np.arange(0.0, max_t + bin_width_ms, bin_width_ms)
-    if bin_edges.size < 2:
-        bin_edges = np.array([0.0, max(max_t, bin_width_ms)])
-    binned = consistency_by_time(observations, bin_edges)
-    centers: list[float] = []
-    measured_curve: list[float] = []
-    montecarlo_curve: list[float] = []
-    analytic_curve: list[float] = []
-    for center, fraction, count in zip(binned.bin_centers, binned.fractions, binned.counts):
-        if count == 0 or not np.isfinite(fraction):
-            continue
-        probe_t = max(center, 0.0)
-        centers.append(center)
-        measured_curve.append(fraction)
-        montecarlo_curve.append(predicted.consistency_probability(probe_t))
-        if analytic is not None:
-            analytic_curve.append(analytic.consistency_probability(probe_t))
-    if not centers:
-        raise ScenarioError("no populated time bins; widen the bins or add reads")
+    centers, measured_curve = populated_bins(observations, bin_width_ms, ScenarioError)
+    probe_ts = [max(center, 0.0) for center in centers]
+    montecarlo_curve = [predicted.consistency_probability(t) for t in probe_ts]
+    analytic_curve = (
+        None if analytic is None else [analytic.consistency_probability(t) for t in probe_ts]
+    )
 
     deltas = np.abs(np.asarray(montecarlo_curve) - np.asarray(measured_curve))
-    if analytic is not None:
+    if analytic_curve is not None:
         analytic_deltas = np.abs(np.asarray(analytic_curve) - np.asarray(measured_curve))
         analytic_rmse = rmse(analytic_curve, measured_curve)
         analytic_max_delta = float(np.max(analytic_deltas))
@@ -369,8 +302,8 @@ def run_scenario(
     percentile_list = list(latency_percentiles)
     predicted_reads = predicted.read_latency_percentiles(percentile_list)
     predicted_writes = predicted.write_latency_percentiles(percentile_list)
-    measured_read_pct = list(np.percentile(measured_reads, percentile_list))
-    measured_write_pct = list(np.percentile(measured_writes, percentile_list))
+    measured_read_pct = list(np.percentile(run.read_latencies, percentile_list))
+    measured_write_pct = list(np.percentile(run.write_latencies, percentile_list))
 
     return ScenarioDivergence(
         scenario=scenario.name,
@@ -379,11 +312,11 @@ def run_scenario(
         config=config,
         writes=writes,
         observations=len(observations),
-        dropped_messages=dropped,
+        dropped_messages=sum(run.extras),
         bin_centers_ms=tuple(centers),
         measured_consistency=tuple(measured_curve),
         montecarlo_consistency=tuple(montecarlo_curve),
-        analytic_consistency=tuple(analytic_curve) if analytic is not None else None,
+        analytic_consistency=None if analytic_curve is None else tuple(analytic_curve),
         consistency_rmse=rmse(montecarlo_curve, measured_curve),
         max_abs_delta_p=float(np.max(deltas)),
         mean_abs_delta_p=float(np.mean(deltas)),

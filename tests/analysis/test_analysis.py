@@ -94,7 +94,7 @@ class TestObserveStaleness:
         return log
 
     def test_observations_and_lags(self):
-        observations = observe_staleness(self._trace_log(), key="k")
+        observations = observe_staleness(self._trace_log(), key="k").observations()
         assert len(observations) == 4
         by_id = {obs.operation_id: obs for obs in observations}
         assert by_id[10].consistent and by_id[10].version_lag == 0
@@ -107,7 +107,7 @@ class TestObserveStaleness:
         log = ColumnarTraceLog()
         _write(log, 1, 1, started=100.0, committed=105.0)
         _read(log, 10, 50.0, None, 52.0)
-        assert observe_staleness(log) == []
+        assert len(observe_staleness(log)) == 0
 
     def test_newer_than_committed_counts_as_consistent(self):
         log = ColumnarTraceLog()
@@ -115,7 +115,7 @@ class TestObserveStaleness:
         _write(log, 2, 2, started=6.0, committed=50.0)
         # Read at t=10 returns the in-flight v2 (commits later at t=50).
         _read(log, 10, 10.0, Version(2, "c"), 12.0)
-        observations = observe_staleness(log)
+        observations = observe_staleness(log).observations()
         assert len(observations) == 1 and observations[0].consistent
 
     def test_aggregates(self):

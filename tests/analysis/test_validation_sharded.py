@@ -11,12 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.blocks import block_sizes
 from repro.analysis.staleness import StalenessObservation, observe_staleness
-from repro.analysis.validation import (
-    VALIDATION_BLOCK_WRITES,
-    _block_sizes,
-    run_validation,
-)
+from repro.analysis.validation import VALIDATION_BLOCK_WRITES, run_validation
 from repro.cluster.client import WorkloadRunner
 from repro.cluster.store import DynamoCluster
 from repro.core.quorum import ReplicaConfig
@@ -48,16 +45,16 @@ def _run(writes: int = 400, **kwargs):
 
 class TestBlockStructure:
     def test_paper_scale_splits_into_default_blocks(self):
-        assert _block_sizes(50_000, VALIDATION_BLOCK_WRITES) == [5_000] * 10
+        assert block_sizes(50_000, VALIDATION_BLOCK_WRITES) == [5_000] * 10
 
     def test_remainder_becomes_tail_block(self):
-        assert _block_sizes(12_000, 5_000) == [5_000, 5_000, 2_000]
+        assert block_sizes(12_000, 5_000) == [5_000, 5_000, 2_000]
 
     def test_tiny_tail_merges_into_previous_block(self):
-        assert _block_sizes(5_009, 5_000) == [5_009]
+        assert block_sizes(5_009, 5_000) == [5_009]
 
     def test_single_block_workloads(self):
-        assert _block_sizes(400, 5_000) == [400]
+        assert block_sizes(400, 5_000) == [400]
 
     def test_invalid_arguments_rejected(self):
         with pytest.raises(AnalysisError):
@@ -175,17 +172,18 @@ class TestFastStalenessAnalysis:
 
     def test_matches_naive_reference_single_key(self):
         log = self._traced_cluster().trace_log
-        assert observe_staleness(log, key="k0") == _naive_observe_staleness(log, key="k0")
+        fast = observe_staleness(log, key="k0").observations()
+        assert fast == _naive_observe_staleness(log, key="k0")
 
     def test_matches_naive_reference_multi_key_all_keys(self):
         log = self._traced_cluster(keys=3).trace_log
-        assert observe_staleness(log) == _naive_observe_staleness(log)
+        assert observe_staleness(log).observations() == _naive_observe_staleness(log)
 
     def test_matches_naive_reference_under_message_loss(self):
         # Loss produces stale reads, empty reads, and version lags > 0 —
         # exactly the branches where the window bookkeeping could diverge.
         log = self._traced_cluster(loss=0.25).trace_log
-        fast = observe_staleness(log, key="k0")
+        fast = observe_staleness(log, key="k0").observations()
         naive = _naive_observe_staleness(log, key="k0")
         assert fast == naive
         assert any(not obs.consistent for obs in fast)
@@ -194,4 +192,4 @@ class TestFastStalenessAnalysis:
     def test_empty_log_returns_empty(self):
         from repro.cluster.tracelog import ColumnarTraceLog
 
-        assert observe_staleness(ColumnarTraceLog()) == []
+        assert len(observe_staleness(ColumnarTraceLog())) == 0

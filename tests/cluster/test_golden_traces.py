@@ -36,7 +36,7 @@ import json
 
 import pytest
 
-from repro.analysis.staleness import observe_staleness_frame, operation_latencies
+from repro.analysis.staleness import observe_staleness, operation_latencies
 from repro.cluster.client import WorkloadRunner
 from repro.cluster.store import DynamoCluster
 from repro.core.quorum import ReplicaConfig
@@ -205,7 +205,7 @@ def analysis_dump(cluster: DynamoCluster) -> dict:
         "observations": [
             [obs.operation_id - base, obs.key, obs.t_since_commit_ms, obs.consistent,
              obs.version_lag]
-            for obs in observe_staleness_frame(log).observations()
+            for obs in observe_staleness(log).observations()
         ],
         "read_latencies": reads.tolist(),
         "write_latencies": writes.tolist(),

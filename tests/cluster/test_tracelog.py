@@ -17,35 +17,35 @@ from repro.cluster.tracelog import ColumnarTraceLog
 from repro.cluster.versioning import Version
 
 
-def _record_workload(log, op_base: int = 0) -> None:
+def _record_workload(log) -> None:
     """Drive one small mixed workload through the narrow recording API."""
-    w0 = log.begin_write(op_base + 0, "alpha", Version(1, "c-0"), "c-0", 10.0)
+    w0 = log.begin_write(0, "alpha", Version(1, "c-0"), "c-0", 10.0)
     log.note_write_arrival(w0, "node-0", 12.0)
     log.note_write_arrival(w0, "node-1", 15.5)
     log.note_write_ack(w0, "node-0", 13.0)
     log.note_write_commit(w0, 13.0)
     log.note_write_drop(w0, "node-2")
 
-    w1 = log.begin_write(op_base + 1, "beta", Version(2, "c-1"), "c-1", 20.0)
+    w1 = log.begin_write(1, "beta", Version(2, "c-1"), "c-1", 20.0)
     log.note_write_arrival(w1, "node-1", 24.0)
     # w1 never commits.
 
-    w2 = log.begin_write(op_base + 2, "alpha", Version(3, "c-0"), "c-0", 30.0)
+    w2 = log.begin_write(2, "alpha", Version(3, "c-0"), "c-0", 30.0)
     log.note_write_arrival(w2, "node-0", 31.0)
     log.note_write_ack(w2, "node-0", 32.0)
     log.note_write_commit(w2, 32.0)
 
-    r0 = log.begin_read(op_base + 3, "alpha", "c-0", 40.0)
+    r0 = log.begin_read(3, "alpha", "c-0", 40.0)
     log.note_read_reply(r0, "node-0", 41.0, Version(3, "c-0"), True)
     log.note_read_complete(r0, Version(3, "c-0"), 41.0)
     log.note_read_reply(r0, "node-1", 43.0, Version(1, "c-0"), False)
     log.note_read_repair(r0)
 
-    r1 = log.begin_read(op_base + 4, "alpha", "c-1", 50.0)
+    r1 = log.begin_read(4, "alpha", "c-1", 50.0)
     log.note_read_reply(r1, "node-2", 51.0, None, True)
     log.note_read_complete(r1, None, 51.0)
 
-    r2 = log.begin_read(op_base + 5, "beta", "c-0", 60.0)
+    r2 = log.begin_read(5, "beta", "c-0", 60.0)
     log.note_read_timeout(r2)
 
 
@@ -91,7 +91,7 @@ def _log_tuples(log) -> tuple:
     )
 
 
-#: ``_log_tuples`` of the log ``_record_workload`` builds (``op_base=0``).
+#: ``_log_tuples`` of the log ``_record_workload`` builds.
 RECORDED_ROWS = (
     (
         (0, "alpha", (1, "c-0"), "c-0", 10.0, 13.0, {"node-0": 12.0, "node-1": 15.5},
@@ -167,6 +167,15 @@ class TestNarrowApiEquivalence:
         # The log is reusable after clear.
         _record_workload(log)
         assert log.write_count == 3
+
+    def test_column_growth_past_initial_capacity(self):
+        log = ColumnarTraceLog()
+        for index in range(1_000):  # large enough to force repeated list growth
+            ref = log.begin_write(index, "k", Version(index, "c"), "c", float(index))
+            log.note_write_commit(ref, float(index) + 0.5)
+        assert log.write_count == 1_000
+        assert [t.operation_id for t in log.committed_writes("k")][:3] == [0, 1, 2]
+        assert log.latest_committed_version_before("k", 1e9) == Version(999, "c")
 
 
 class TestQueries:
@@ -292,58 +301,6 @@ class TestQueryIndexing:
         refreshed = log.committed_write_rows("hot")
         assert refreshed is not rows
         assert refreshed.tolist() == [0, 1, 2, 3, 4, 5]
-
-
-class TestMergeContract:
-    """Block-order merge reproduces the serial log bit-for-bit."""
-
-    def test_merge_equals_serial_recording(self):
-        serial = ColumnarTraceLog()
-        _record_workload(serial, op_base=0)
-        _record_workload(serial, op_base=10)
-
-        block_a = ColumnarTraceLog()
-        block_b = ColumnarTraceLog()
-        _record_workload(block_a, op_base=0)
-        _record_workload(block_b, op_base=10)
-        merged = ColumnarTraceLog.merge([block_a, block_b])
-
-        assert _log_tuples(merged) == _log_tuples(serial)
-        assert merged.string_table() == serial.string_table()
-        # Query surfaces agree too (same rows, same order).
-        assert [t.operation_id for t in merged.committed_writes("alpha")] == [
-            t.operation_id for t in serial.committed_writes("alpha")
-        ]
-        assert merged.latest_committed_version_before(
-            "alpha", 1e9
-        ) == serial.latest_committed_version_before("alpha", 1e9)
-
-    def test_merge_remaps_disjoint_string_tables(self):
-        block_a = ColumnarTraceLog()
-        ref = block_a.begin_write(0, "only-a", Version(1, "w-a"), "co-a", 1.0)
-        block_a.note_write_commit(ref, 2.0)
-        block_b = ColumnarTraceLog()
-        ref = block_b.begin_read(1, "only-b", "co-b", 3.0)
-        block_b.note_read_reply(ref, "nb", 3.5, Version(1, "w-a"), True)
-        block_b.note_read_complete(ref, Version(1, "w-a"), 4.0)
-        merged = ColumnarTraceLog.merge([block_b, block_a])
-        assert merged.writes[0].key == "only-a"
-        assert merged.reads[0].returned_version == Version(1, "w-a")
-        assert merged.reads[0].quorum_responses == {"nb": Version(1, "w-a")}
-
-    def test_merge_of_empty_logs(self):
-        merged = ColumnarTraceLog.merge([ColumnarTraceLog(), ColumnarTraceLog()])
-        assert merged.write_count == 0
-        assert merged.read_count == 0
-
-    def test_column_growth_past_initial_capacity(self):
-        log = ColumnarTraceLog()
-        for index in range(1_000):  # large enough to force repeated list growth
-            ref = log.begin_write(index, "k", Version(index, "c"), "c", float(index))
-            log.note_write_commit(ref, float(index) + 0.5)
-        assert log.write_count == 1_000
-        assert [t.operation_id for t in log.committed_writes("k")][:3] == [0, 1, 2]
-        assert log.latest_committed_version_before("k", 1e9) == Version(999, "c")
 
 
 class TestStoreTraceLog:

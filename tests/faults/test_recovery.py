@@ -139,6 +139,9 @@ class TestValidation:
             run_adaptive_recovery("gray-failure", writes=400, windows=0)
         with pytest.raises(ScenarioError):
             run_adaptive_recovery("gray-failure", writes=400, recovery_threshold=1.5)
+        for block_writes in (0, 5, -5):
+            with pytest.raises(ScenarioError):
+                run_adaptive_recovery("gray-failure", writes=400, block_writes=block_writes)
 
     def test_rejects_service_with_conflicting_tenant(self):
         service = PredictorService()
