@@ -88,7 +88,7 @@ def run_validation_grid(
     )
     generator = as_rng(rng)
     rows = []
-    validation_kwargs: dict = {"workers": workers}
+    validation_kwargs: dict = {}
     if draw_batch_size is not None:
         validation_kwargs["draw_batch_size"] = draw_batch_size
     for swept_config in swept_configs:
@@ -107,6 +107,7 @@ def run_validation_grid(
                     read_offsets_ms=(1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0),
                     prediction_trials=prediction_trials,
                     rng=generator,
+                    workers=workers,
                     **validation_kwargs,
                 )
                 rows.append(

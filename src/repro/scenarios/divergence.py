@@ -254,8 +254,7 @@ def run_scenario(
         workers=workers,
         error=ScenarioError,
     )
-    observations = run.frame
-    if not len(observations):
+    if not len(run.frame):
         raise ScenarioError(
             f"scenario {name!r} produced no staleness observations"
         )
@@ -272,7 +271,7 @@ def run_scenario(
         analytic = None
 
     # --- Consistency curves at the populated measurement bins. ---
-    centers, measured_curve = populated_bins(observations, bin_width_ms, ScenarioError)
+    centers, measured_curve = populated_bins(run.frame, bin_width_ms, ScenarioError)
     probe_ts = [max(center, 0.0) for center in centers]
     montecarlo_curve = [predicted.consistency_probability(t) for t in probe_ts]
     analytic_curve = (
@@ -291,7 +290,7 @@ def run_scenario(
     # --- t-visibility shift (measured minus predicted) per target. ---
     shifts: dict[float, float | None] = {}
     for target in t_visibility_targets:
-        measured_t = measured_t_visibility(observations, target)
+        measured_t = measured_t_visibility(run.frame, target)
         predicted_t = predicted.t_visibility(target)
         if math.isfinite(measured_t) and math.isfinite(predicted_t):
             shifts[float(target)] = float(measured_t - predicted_t)
@@ -311,7 +310,7 @@ def run_scenario(
         hostile=scenario.hostile,
         config=config,
         writes=writes,
-        observations=len(observations),
+        observations=len(run.frame),
         dropped_messages=sum(run.extras),
         bin_centers_ms=tuple(centers),
         measured_consistency=tuple(measured_curve),
