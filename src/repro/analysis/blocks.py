@@ -1,4 +1,4 @@
-"""Independent seeded write blocks: the one driver behind every measured run.
+"""Independent seeded write blocks: one runner behind every measured run.
 
 The paper's §5.2 validation measures 50,000 writes per latency cell, which
 makes one serial simulation the bottleneck of a grid.  Validation cells

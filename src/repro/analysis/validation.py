@@ -11,9 +11,9 @@ distributions drive both the cluster simulator (per-message delays) and the
 analytical predictor, the cluster runs the single-key overwrite workload, and
 the two consistency curves / latency percentile sets are compared.
 
-The measured side runs through the blocked-run driver
-(:mod:`repro.analysis.blocks`): the workload splits into independent blocks
-of :data:`VALIDATION_BLOCK_WRITES` writes, each on its own cluster and
+The measured side runs through :func:`repro.analysis.blocks.run_blocks`:
+the workload splits into independent blocks of
+:data:`VALIDATION_BLOCK_WRITES` writes, each on its own cluster and
 seed-spawned generator, and ``workers > 1`` farms the blocks to a process
 pool.  Results are bit-for-bit identical for any ``workers`` value.
 """

@@ -17,8 +17,8 @@ recover").
 
 Determinism
 -----------
-The measured side is :func:`run_scenario`'s own: the same blocked-run driver
-(:func:`repro.analysis.blocks.run_blocks`) runs the same
+The measured side is :func:`run_scenario`'s own: the same
+:func:`repro.analysis.blocks.run_blocks` runs the same
 :func:`~repro.scenarios.divergence.scenario_block` on the same seeds, so the
 simulated run here is bit-for-bit the one ``run_scenario(name, writes=…,
 rng=…)`` measures.  Blocks run serially and each keeps its trace log.  The

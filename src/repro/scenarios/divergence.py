@@ -11,13 +11,13 @@ quantifies exactly what each violated assumption costs the model.
 
 Blocks
 ------
-Scenario runs go through the blocked-run driver
-(:mod:`repro.analysis.blocks`): writes split into independent blocks of
-:data:`SCENARIO_BLOCK_WRITES`, one cluster per block, block seeds spawned
-from a single root :class:`numpy.random.SeedSequence`, measurements merged
-in block order.  The block structure depends only on ``writes``, so results
-are **bit-for-bit identical for any worker count** — the property the
-reduced-scale conformance tests pin.  :func:`scenario_block` takes only the
+Scenario runs go through :func:`repro.analysis.blocks.run_blocks`: writes
+split into independent blocks of :data:`SCENARIO_BLOCK_WRITES`, one cluster
+per block, block seeds spawned from a single root
+:class:`numpy.random.SeedSequence`, measurements joined in block order.  The
+block structure depends only on ``writes``, so results are **bit-for-bit
+identical for any worker count** — the property the reduced-scale
+conformance tests pin.  :func:`scenario_block` takes only the
 scenario *name* across process boundaries; workers re-resolve it from the
 registry.
 

@@ -1,4 +1,4 @@
-"""Tests for the blocked-run driver and the staleness-frame join it relies on."""
+"""Tests for ``run_blocks`` and the staleness-frame join it relies on."""
 
 from __future__ import annotations
 
