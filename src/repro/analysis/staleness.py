@@ -80,18 +80,25 @@ class StalenessFrame:
         """Join frames row-wise, in order.
 
         Each frame's key ids index its own run's string table, so they are
-        remapped into one joined key table (each string once).
+        remapped into one joined key table (each string once).  Each run
+        numbers its operations from 1, so a frame's operation ids are offset
+        past the largest id of the frames joined before it.
         """
         joined: dict[str, int] = {}
         key_ids = []
+        operation_ids = []
+        largest = 0
         for frame in frames:
             remap = np.array(
                 [joined.setdefault(key, len(joined)) for key in frame.key_table],
                 dtype=np.int64,
             )
             key_ids.append(remap[frame.key_ids])
+            operation_ids.append(frame.operation_ids + largest)
+            if len(frame):
+                largest = max(largest, int(operation_ids[-1].max()))
         return cls(
-            operation_ids=np.concatenate([frame.operation_ids for frame in frames]),
+            operation_ids=np.concatenate(operation_ids),
             key_ids=np.concatenate(key_ids),
             key_table=tuple(joined),
             t_since_commit_ms=np.concatenate([frame.t_since_commit_ms for frame in frames]),

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.cluster.membership import Membership
-from repro.cluster.messages import next_operation_id
 from repro.cluster.network import Network
 from repro.cluster.node import StorageNode
 from repro.cluster.simulator import Simulator
@@ -143,6 +142,7 @@ class Coordinator:
         network: Network,
         config: ReplicaConfig,
         trace_log: ColumnarTraceLog,
+        next_operation_id: Callable[[], int],
         read_repair: bool = False,
         hinted_handoff: bool = False,
         sloppy_quorum: bool = False,
@@ -171,6 +171,8 @@ class Coordinator:
         self._r = config.r
         self._w = config.w
         self._trace_log = trace_log
+        # The cluster's operation-id counter, shared by its coordinators.
+        self._next_operation_id = next_operation_id
         # Bound narrow-API methods: recording happens with scalars through
         # one pre-bound call per lifecycle step.
         self._begin_write = trace_log.begin_write
@@ -238,7 +240,7 @@ class Coordinator:
             vector_clock=self._clock_vector,
             write_started_ms=now,
         )
-        operation_id = next_operation_id()
+        operation_id = self._next_operation_id()
         ref = self._begin_write(operation_id, key, version, self.coordinator_id, now)
         handle = WriteHandle(self._trace_log, ref, payload, on_complete=on_complete)
 
@@ -410,7 +412,7 @@ class Coordinator:
     ) -> ReadHandle:
         """Issue a read: forward to replicas, return the newest of the first R responses."""
         now = self._clock.now_ms
-        operation_id = next_operation_id()
+        operation_id = self._next_operation_id()
         ref = self._begin_read(operation_id, key, self.coordinator_id, now)
         replicas = self._preference(key)
         if not self._read_fanout_all:

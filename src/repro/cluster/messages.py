@@ -14,14 +14,12 @@ validation experiments but available for ablations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cluster.versioning import VersionedValue
 
 __all__ = [
-    "next_operation_id",
     "WriteRequest",
     "WriteAck",
     "ReadRequest",
@@ -30,14 +28,6 @@ __all__ = [
     "HintedWrite",
     "SyncDigest",
 ]
-
-_operation_counter = itertools.count(1)
-
-
-def next_operation_id() -> int:
-    """Return a process-wide unique operation identifier."""
-    return next(_operation_counter)
-
 
 @dataclass(frozen=True)
 class WriteRequest:

@@ -18,6 +18,7 @@ staleness can be compared directly.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -122,6 +123,9 @@ class DynamoCluster:
             clock=self.simulator.clock,
         )
         self.trace_log = ColumnarTraceLog()
+        # One operation-id counter per cluster, so a cluster's ids depend
+        # only on its own run (not on what else ran in the process).
+        next_operation_id = itertools.count(1).__next__
         self.coordinators = [
             Coordinator(
                 coordinator_id=f"coordinator-{index}",
@@ -130,6 +134,7 @@ class DynamoCluster:
                 network=self.network,
                 config=config,
                 trace_log=self.trace_log,
+                next_operation_id=next_operation_id,
                 read_repair=read_repair,
                 hinted_handoff=hinted_handoff,
                 sloppy_quorum=sloppy_quorum,

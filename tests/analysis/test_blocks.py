@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
 from repro.analysis.blocks import Block, populated_bins, run_blocks
 from repro.analysis.staleness import StalenessFrame, observe_staleness
+from repro.analysis.validation import _validation_block
+from repro.cluster.sampling import DEFAULT_DRAW_BATCH_SIZE
 from repro.cluster.tracelog import ColumnarTraceLog
 from repro.cluster.versioning import Version
+from repro.core.quorum import ReplicaConfig
+from repro.latency.production import production_fit
 
 
 class _CallerError(Exception):
@@ -39,9 +46,14 @@ class TestFrameConcat:
         second = observe_staleness(_log("beta", "c-1", op_base=10))
         third = observe_staleness(_log("alpha", "c-1", op_base=20))
         joined = StalenessFrame.concat([first, second, third])
-        assert joined.observations() == (
-            first.observations() + second.observations() + third.observations()
-        )
+        # Read ids 1, 2 | 11, 12 | 21, 22, each frame offset past the
+        # largest joined id before it.
+        assert joined.operation_ids.tolist() == [1, 2, 13, 14, 35, 36]
+        expected = first.observations() + second.observations() + third.observations()
+        assert [
+            dataclasses.replace(observation, operation_id=0)
+            for observation in joined.observations()
+        ] == [dataclasses.replace(observation, operation_id=0) for observation in expected]
         assert len(set(joined.key_table)) == len(joined.key_table)
         assert [joined.key_table[key_id] for key_id in joined.key_ids] == (
             ["alpha"] * 2 + ["beta"] * 2 + ["alpha"] * 2
@@ -52,6 +64,7 @@ class TestFrameConcat:
         joined = StalenessFrame.concat([empty, observe_staleness(_log("k", "c", 0)), empty])
         assert len(joined) == 2
         assert joined.key_ids.dtype == np.int64
+        assert joined.operation_ids.tolist() == [1, 2]
 
 
 class TestRunBlocks:
@@ -65,6 +78,25 @@ class TestRunBlocks:
         assert run.read_latencies.shape == (2,) and run.write_latencies.shape == (4,)
         # Further streams are the root's next children.
         assert run.root.spawn(1)[0].spawn_key == (2,)
+
+    def test_sharded_operation_ids_are_distinct_and_match_serial(self):
+        block = functools.partial(
+            _validation_block,
+            distributions=production_fit("LNKD-SSD"),
+            config=ReplicaConfig(3, 1, 1),
+            write_interval_ms=200.0,
+            read_offsets_ms=(1.0, 10.0),
+            draw_batch_size=DEFAULT_DRAW_BATCH_SIZE,
+        )
+        runs = [
+            run_blocks(block, writes=300, block_writes=100, rng=7, workers=workers,
+                       error=_CallerError)
+            for workers in (1, 2)
+        ]
+        ids = [run.frame.operation_ids for run in runs]
+        assert len(ids[0]) > 500
+        assert len(np.unique(ids[0])) == len(ids[0])
+        np.testing.assert_array_equal(ids[0], ids[1])
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -192,6 +192,21 @@ class TestDynamoClusterFacade:
         second = cluster.write("b", 2)
         assert first.trace.coordinator != second.trace.coordinator
 
+    def test_operation_ids_count_per_cluster_across_coordinators(self):
+        def ids(cluster: DynamoCluster) -> list[int]:
+            handles = [cluster.write("a", 1), cluster.read("a"), cluster.write("b", 2)]
+            return [handle.trace.operation_id for handle in handles]
+
+        first = DynamoCluster(
+            ReplicaConfig(3, 1, 1), constant_wars(), coordinator_count=2, rng=0
+        )
+        assert ids(first) == [1, 2, 3]
+        # A later cluster in the same process numbers its operations afresh.
+        second = DynamoCluster(
+            ReplicaConfig(3, 1, 1), constant_wars(), coordinator_count=2, rng=0
+        )
+        assert ids(second) == [1, 2, 3]
+
     def test_replicas_for_returns_n_nodes(self):
         cluster = DynamoCluster(ReplicaConfig(3, 2, 2), constant_wars(), node_count=5, rng=0)
         assert len(cluster.replicas_for("some-key")) == 3

@@ -5,9 +5,8 @@ a canonical dump of everything the run recorded: every trace column (read
 through the public row views, so the dump does not depend on how the trace
 log stores or interns them) plus the network and simulator counters
 (``draws_consumed``, ``draw_refills``, ``processed_events``,
-``dropped_messages``).  Operation ids are rebased to the run's first id
-because :func:`~repro.cluster.messages.next_operation_id` counts across the
-whole process.
+``dropped_messages``).  Operation ids are rebased to the run's first id, so
+the digests do not depend on where the id numbering starts.
 
 A digest changes when anything about the simulation changes: which message
 receives which latency draw, the ``(time, sequence)`` order of events, the
