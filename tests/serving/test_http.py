@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+import sys
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -12,7 +15,7 @@ import urllib.request
 import pytest
 
 from repro.serving import PredictorService, make_server
-from repro.serving.http import MAX_BODY_BYTES
+from repro.serving.http import ACCEPT_THREADS, MAX_BODY_BYTES, _Handler
 
 #: Per-request client timeout: a server that never replies fails the test
 #: instead of hanging the run.
@@ -20,7 +23,7 @@ _TIMEOUT_S = 10.0
 
 
 @pytest.fixture
-def server_url():
+def server():
     service = PredictorService()
     service.register_tenant("acme", "LNKD-SSD")
     server = make_server(service, port=0)
@@ -28,10 +31,16 @@ def server_url():
         target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
     )
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
+    yield server
     server.shutdown()
     server.server_close()
     thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def server_url(server):
+    return f"http://127.0.0.1:{server.server_address[1]}"
 
 
 def _get(url: str) -> tuple[int, dict]:
@@ -56,14 +65,17 @@ def _post(url: str, body: dict | None = None) -> tuple[int, dict]:
         return error.code, json.loads(error.read())
 
 
-def _post_declaring_length(url: str, path: str, length: str) -> tuple[int, dict]:
-    """POST with a hand-set ``Content-Length`` and no body, then await the reply."""
+def _post_declaring_length(
+    url: str, path: str, length: str, body: bytes | None = None
+) -> tuple[int, dict]:
+    """POST with a hand-set ``Content-Length`` and ``body`` (by default none),
+    then await the reply."""
     address = urllib.parse.urlsplit(url)
     connection = http.client.HTTPConnection(address.hostname, address.port, timeout=_TIMEOUT_S)
     try:
         connection.putrequest("POST", path)
         connection.putheader("Content-Length", length)
-        connection.endheaders()
+        connection.endheaders(body)
         response = connection.getresponse()
         return response.status, json.loads(response.read())
     finally:
@@ -177,6 +189,103 @@ class TestErrorMapping:
         status, body = _get(f"{server_url}/tenants/acme/predict?n=3&r=1&w=1")
         assert status == 500 and "RuntimeError: boom" in body["error"]
         assert _get(f"{server_url}/healthz") == (200, {"status": "ok"})
+
+
+def _connect(url: str) -> socket.socket:
+    address = urllib.parse.urlsplit(url)
+    return socket.create_connection((address.hostname, address.port), timeout=_TIMEOUT_S)
+
+
+class TestAcceptThreads:
+    def test_requests_are_served_on_the_accept_threads(self, server, server_url, monkeypatch):
+        serving = []
+        handle = _Handler.do_GET
+
+        def recording(handler):
+            serving.append(threading.current_thread())
+            handle(handler)
+
+        monkeypatch.setattr(_Handler, "do_GET", recording)
+        for _ in range(10):
+            assert _get(f"{server_url}/healthz")[0] == 200
+        assert len(server.accept_threads) == ACCEPT_THREADS
+        assert set(serving) <= set(server.accept_threads)
+
+    def test_request_counter_is_exact_under_concurrency(self, server, server_url):
+        clients, requests_each = 8, 25  # more client threads than cores
+        statuses: list[int] = []
+        errors: list[Exception] = []
+
+        def client() -> None:
+            try:
+                for _ in range(requests_each):
+                    statuses.append(_get(f"{server_url}/healthz")[0])
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, daemon=True) for _ in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert statuses == [200] * (clients * requests_each)
+        # shutdown() joins the accept threads, so every count has landed.
+        server.shutdown()
+        assert server.requests_handled == len(statuses)
+
+    def test_shutdown_stops_both_accept_threads(self):
+        server = make_server(PredictorService(), port=0)
+        serving = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+        serving.start()
+        assert _get(f"http://127.0.0.1:{server.server_address[1]}/healthz")[0] == 200
+        accept_threads = server.accept_threads
+        assert all(thread.is_alive() for thread in accept_threads)
+        server.shutdown()
+        server.server_close()
+        for thread in (*accept_threads, serving):
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+
+
+class TestConnectionTimeout:
+    """An idle or stalled client gives its accept thread back."""
+
+    TIMEOUT_S = 0.5
+
+    @pytest.fixture(autouse=True)
+    def short_timeout(self, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", self.TIMEOUT_S)
+
+    def test_silent_client_does_not_stop_another_being_answered(self, server_url):
+        with _connect(server_url):
+            started = time.monotonic()
+            assert _get(f"{server_url}/healthz") == (200, {"status": "ok"})
+            # The other accept thread answered; waiting out the silent
+            # connection would have taken the whole timeout.
+            assert time.monotonic() - started < self.TIMEOUT_S
+
+    def test_silent_connection_is_closed_after_the_timeout(self, server_url):
+        started = time.monotonic()
+        with _connect(server_url) as silent:
+            # No request line, so no status: the server just hangs up.
+            assert silent.recv(1) == b""
+        assert time.monotonic() - started >= 0.9 * self.TIMEOUT_S
+
+    def test_stalled_body_is_408(self, server_url):
+        status, body = _post_declaring_length(
+            server_url, "/tenants/acme/observations", "100", b'{"leg": "W"'
+        )
+        assert status == 408 and "not received" in body["error"]
+        assert _get(f"{server_url}/stats")[1]["tenants"][0]["observed"] == {}
 
 
 class TestServeCommand:
