@@ -94,9 +94,9 @@ class StalenessFrame:
                 dtype=np.int64,
             )
             key_ids.append(remap[frame.key_ids])
-            operation_ids.append(frame.operation_ids + largest)
-            if len(frame):
-                largest = max(largest, int(operation_ids[-1].max()))
+            shifted = frame.operation_ids + largest
+            operation_ids.append(shifted)
+            largest = int(shifted.max(initial=largest))
         return cls(
             operation_ids=np.concatenate(operation_ids),
             key_ids=np.concatenate(key_ids),
