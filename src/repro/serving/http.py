@@ -13,24 +13,29 @@ Routes (all JSON)::
 
 Errors map onto status codes: unknown routes and tenants are 404, invalid
 parameters (:class:`~repro.exceptions.PBSError`, malformed JSON, a negative
-``Content-Length``) are 400, a body that stalls for
-:data:`CONNECTION_TIMEOUT_S` is 408, a body over :data:`MAX_BODY_BYTES` is
-413, and any other failure is a 500, so every request gets a JSON reply.
+``Content-Length``) are 400, a body not received within
+:data:`CONNECTION_TIMEOUT_S` of the connection being taken is 408, a body
+over :data:`MAX_BODY_BYTES` is 413, and any other failure is a 500, so every
+request gets a JSON reply.
 
 :class:`PredictorServer` serves on :data:`ACCEPT_THREADS` threads started
-with :meth:`~PredictorServer.serve_forever`.  Each blocks in ``accept()`` on
+with :meth:`~PredictorServer.serve_forever`.  Each waits in ``accept()`` on
 the listening socket and serves the connection it accepted (one request per
 connection), so no thread is created per request; connections beyond the
-busy threads wait in the listen backlog.  The underlying service is
-thread-safe.
+busy threads wait in the listen backlog.  A client has
+:data:`CONNECTION_TIMEOUT_S` to send its whole request, so no client holds a
+thread longer than that before its request is handled.  The underlying
+service is thread-safe.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import socket
 import threading
+import time
 import traceback
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -46,15 +51,18 @@ __all__ = ["make_server", "serve_forever"]
 #: longer body is answered 413 before any of it is read.
 MAX_BODY_BYTES = 1 << 20
 
-#: Threads that accept and serve connections.  The handler holds the
-#: interpreter lock, so more threads add no throughput, while each
-#: long-lived thread appears to keep its own malloc arena: under the
-#: ``serve-http`` benchmark on a 2-vCPU host, the server's peak RSS read
-#: 97-103 MiB with two threads, 115-124 MiB with four, 144-146 MiB with eight.
+#: Threads that accept and serve connections.  Measured on a 2-vCPU host:
+#: under the ``serve-http`` benchmark (one client, one request in flight)
+#: the server's peak RSS read 94-103 MiB with two threads, 115-124 MiB with
+#: four and 144-146 MiB with eight (each long-lived thread appears to keep
+#: its own malloc arena); with four concurrent clients, two threads answered
+#: faster at p50 and p99 than a thread per connection.  A short request can
+#: still wait behind two long ones.
 ACCEPT_THREADS = 2
 
-#: Seconds a connection may leave one read or write waiting, so an idle or
-#: stalled client releases its accept thread.
+#: Seconds a client has, from the moment a thread takes its connection, to
+#: send the whole request (request line, headers and body), so an idle or
+#: trickling client gives its accept thread back within this time.
 CONNECTION_TIMEOUT_S = 5.0
 
 
@@ -63,7 +71,31 @@ class _BodyTooLarge(Exception):
 
 
 class _BodyTimedOut(Exception):
-    """The request body stopped arriving for :data:`CONNECTION_TIMEOUT_S`."""
+    """The request body was not in by the request's deadline."""
+
+
+class _RequestReader(io.RawIOBase):
+    """A connection's read side, with one deadline for the whole request.
+
+    A socket timeout bounds each read, so a client that sends a byte now and
+    then never trips it.  Here every read waits at most until the deadline
+    and then raises :class:`TimeoutError`, as a socket timeout does, so the
+    handler's timeout paths apply unchanged.
+    """
+
+    def __init__(self, connection: socket.socket, seconds: float) -> None:
+        self._connection = connection
+        self._deadline = time.monotonic() + seconds
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("request deadline passed")
+        self._connection.settimeout(remaining)
+        return self._connection.recv_into(buffer)
 
 
 def _reject_constant(constant: str) -> float:
@@ -104,6 +136,13 @@ class _Handler(BaseHTTPRequestHandler):
     server: "PredictorServer"
     timeout = CONNECTION_TIMEOUT_S
 
+    def setup(self) -> None:
+        super().setup()
+        # Reads go through one deadline for the whole request rather than
+        # a timeout per read.
+        self.rfile.close()
+        self.rfile = io.BufferedReader(_RequestReader(self.connection, self.timeout))
+
     # Silence the default stderr access log (the CLI reports the address once).
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         if self.server.verbose:
@@ -114,6 +153,8 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def _reply(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode()
+        # The reply gets its own timeout, not what is left of the request's.
+        self.connection.settimeout(self.timeout)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -233,8 +274,8 @@ class PredictorServer(HTTPServer):
     """An HTTP server bound to one :class:`PredictorService`.
 
     :meth:`serve_forever` starts :data:`ACCEPT_THREADS` daemon threads that
-    each block in ``accept()`` and serve what they accept, and returns once
-    :meth:`shutdown` (or :attr:`request_limit`) stopped and joined them.
+    each accept connections and serve them, and returns once :meth:`shutdown`
+    (or :attr:`request_limit`) stopped and joined them.
     """
 
     #: Listen backlog: a burst beyond the busy accept threads waits here.
@@ -271,13 +312,16 @@ class PredictorServer(HTTPServer):
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         """Serve on the accept threads until :meth:`shutdown` or the request limit.
 
-        The calling thread waits, waking every ``poll_interval`` seconds, so
-        a signal (``KeyboardInterrupt``) lands here and still joins the
-        accept threads on the way out.
+        ``accept()`` gives up every ``poll_interval`` seconds, so an idle
+        accept thread sees a stop request within that time; a busy one sees
+        it after the request it holds.  The calling thread waits, so a
+        signal (``KeyboardInterrupt``) lands here and still joins the accept
+        threads on the way out.
         """
         self._stopped.clear()
         if self._limit_reached():
             self._stop.set()
+        self.socket.settimeout(poll_interval)
         self.accept_threads = tuple(
             threading.Thread(target=self._accept_loop, name=f"pbs-http-{index}", daemon=True)
             for index in range(ACCEPT_THREADS)
@@ -289,14 +333,9 @@ class PredictorServer(HTTPServer):
                 pass
         finally:
             self._stop.set()
-            # A thread that accepts any connection now sees the stop request
-            # and exits, so one wake-up per live thread is enough; only a
-            # failed connect is owed again.
-            owed = sum(thread.is_alive() for thread in self.accept_threads)
             for thread in self.accept_threads:
-                while thread.is_alive():
-                    owed -= self._wake_accepts(owed)
-                    thread.join(poll_interval)
+                if thread.is_alive():
+                    thread.join()
             self._stop.clear()
             self._stopped.set()
 
@@ -313,35 +352,18 @@ class PredictorServer(HTTPServer):
         while not self._stop.is_set():
             try:
                 request, client_address = self.get_request()
+            except TimeoutError:
+                continue  # no connection within poll_interval
             except OSError:
                 if self.socket.fileno() < 0:  # closed under a running loop
                     return
                 continue
-            if self._stop.is_set():
-                # A wake-up connection, or a client that came too late.
-                self.shutdown_request(request)
-                return
             try:
                 self.finish_request(request, client_address)
             except Exception:  # noqa: BLE001 - keep serving; socketserver reports it
                 self.handle_error(request, client_address)
             finally:
                 self.shutdown_request(request)
-
-    def _wake_accepts(self, count: int) -> int:
-        """Connect up to ``count`` times, so that threads blocked in
-        ``accept()`` return; gives the number of connects that succeeded."""
-        host, port = self.server_address[:2]
-        if host == "0.0.0.0":
-            host = "127.0.0.1"
-        woken = 0
-        for _ in range(count):
-            try:
-                with socket.create_connection((host, port), timeout=1.0):
-                    woken += 1
-            except OSError:
-                pass
-        return woken
 
 
 def make_server(

@@ -196,6 +196,20 @@ def _connect(url: str) -> socket.socket:
     return socket.create_connection((address.hostname, address.port), timeout=_TIMEOUT_S)
 
 
+def _trickle(
+    connection: socket.socket, data: bytes, interval: float, stop: threading.Event
+) -> None:
+    """Send ``data`` one byte per ``interval`` until it is all sent, ``stop``
+    is set, or the server cuts the connection."""
+    for byte in data:
+        if stop.wait(interval):
+            return
+        try:
+            connection.sendall(bytes([byte]))
+        except OSError:
+            return
+
+
 class TestAcceptThreads:
     def test_requests_are_served_on_the_accept_threads(self, server, server_url, monkeypatch):
         serving = []
@@ -248,7 +262,11 @@ class TestAcceptThreads:
         serving.start()
         assert _get(f"http://127.0.0.1:{server.server_address[1]}/healthz")[0] == 200
         accept_threads = server.accept_threads
-        assert all(thread.is_alive() for thread in accept_threads)
+        # The first thread may answer before serve_forever starts the second.
+        deadline = time.monotonic() + 5.0
+        while not all(thread.is_alive() for thread in accept_threads):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
         server.shutdown()
         server.server_close()
         for thread in (*accept_threads, serving):
@@ -256,8 +274,9 @@ class TestAcceptThreads:
             assert not thread.is_alive()
 
 
-class TestConnectionTimeout:
-    """An idle or stalled client gives its accept thread back."""
+class TestRequestDeadline:
+    """A client has the handler's timeout to send its whole request, so an
+    idle, stalled or trickling client gives its accept thread back."""
 
     TIMEOUT_S = 0.5
 
@@ -280,11 +299,67 @@ class TestConnectionTimeout:
             assert silent.recv(1) == b""
         assert time.monotonic() - started >= 0.9 * self.TIMEOUT_S
 
+    @pytest.mark.parametrize(
+        "sends",
+        [b"", b"GET /healthz HTTP/1.1\r\nX-Slow: " + b"a" * 1000],
+        ids=["silent", "trickling"],
+    )
+    def test_client_beyond_slow_ones_on_every_thread_is_answered_in_time(
+        self, server_url, sends
+    ):
+        stop = threading.Event()
+        slow = [_connect(server_url) for _ in range(ACCEPT_THREADS)]
+        senders = [
+            threading.Thread(
+                target=_trickle, args=(connection, sends, self.TIMEOUT_S / 5, stop), daemon=True
+            )
+            for connection in slow
+        ]
+        try:
+            for sender in senders:
+                sender.start()
+            time.sleep(self.TIMEOUT_S / 5)  # every accept thread holds a slow client
+            started = time.monotonic()
+            assert _get(f"{server_url}/healthz") == (200, {"status": "ok"})
+            waited = time.monotonic() - started
+        finally:
+            stop.set()
+            for sender in senders:
+                sender.join(timeout=5.0)
+                assert not sender.is_alive()
+            for connection in slow:
+                connection.close()
+        # It waited for a slow client's deadline, however often that client
+        # sent a byte, and not much longer.
+        assert 0.5 * self.TIMEOUT_S < waited < 2 * self.TIMEOUT_S
+
     def test_stalled_body_is_408(self, server_url):
         status, body = _post_declaring_length(
             server_url, "/tenants/acme/observations", "100", b'{"leg": "W"'
         )
         assert status == 408 and "not received" in body["error"]
+        assert _get(f"{server_url}/stats")[1]["tenants"][0]["observed"] == {}
+
+    def test_trickling_body_is_408_at_the_deadline(self, server_url):
+        stop = threading.Event()
+        with _connect(server_url) as client:
+            client.sendall(
+                b"POST /tenants/acme/observations HTTP/1.1\r\nContent-Length: 1000\r\n\r\n"
+            )
+            sender = threading.Thread(
+                target=_trickle, args=(client, b" " * 1000, self.TIMEOUT_S / 5, stop), daemon=True
+            )
+            started = time.monotonic()
+            sender.start()
+            try:
+                with client.makefile("rb") as reply:
+                    status_line = reply.readline()
+                waited = time.monotonic() - started
+            finally:
+                stop.set()
+                sender.join(timeout=5.0)
+        assert status_line.split()[1] == b"408"
+        assert waited < 2 * self.TIMEOUT_S
         assert _get(f"{server_url}/stats")[1]["tenants"][0]["observed"] == {}
 
 
