@@ -71,6 +71,10 @@ class StalenessFrame:
     t_since_commit_ms: np.ndarray
     consistent: np.ndarray
     version_lag: np.ndarray
+    #: Largest operation id in the trace log the frame was read from, over
+    #: all its writes and reads, observed or not (for a cluster's log, the
+    #: number of operations it ran).
+    last_operation_id: int
 
     def __len__(self) -> int:
         return int(self.operation_ids.shape[0])
@@ -82,21 +86,22 @@ class StalenessFrame:
         Each frame's key ids index its own run's string table, so they are
         remapped into one joined key table (each string once).  Each run
         numbers its operations from 1, so a frame's operation ids are offset
-        past the largest id of the frames joined before it.
+        by the :attr:`last_operation_id` of every frame before it: a joined
+        id minus that offset is the row's id in its own run's trace log, and
+        a serial run gives the same joined ids as a sharded one.
         """
         joined: dict[str, int] = {}
         key_ids = []
         operation_ids = []
-        largest = 0
+        offset = 0
         for frame in frames:
             remap = np.array(
                 [joined.setdefault(key, len(joined)) for key in frame.key_table],
                 dtype=np.int64,
             )
             key_ids.append(remap[frame.key_ids])
-            shifted = frame.operation_ids + largest
-            operation_ids.append(shifted)
-            largest = int(shifted.max(initial=largest))
+            operation_ids.append(frame.operation_ids + offset)
+            offset += frame.last_operation_id
         return cls(
             operation_ids=np.concatenate(operation_ids),
             key_ids=np.concatenate(key_ids),
@@ -104,6 +109,7 @@ class StalenessFrame:
             t_since_commit_ms=np.concatenate([frame.t_since_commit_ms for frame in frames]),
             consistent=np.concatenate([frame.consistent for frame in frames]),
             version_lag=np.concatenate([frame.version_lag for frame in frames]),
+            last_operation_id=offset,
         )
 
     def observations(self) -> list[StalenessObservation]:
@@ -121,7 +127,7 @@ class StalenessFrame:
         ]
 
 
-def _empty_frame() -> StalenessFrame:
+def _empty_frame(last_operation_id: int) -> StalenessFrame:
     return StalenessFrame(
         operation_ids=np.empty(0, dtype=np.int64),
         key_ids=np.empty(0, dtype=np.int64),
@@ -129,6 +135,7 @@ def _empty_frame() -> StalenessFrame:
         t_since_commit_ms=np.empty(0, dtype=np.float64),
         consistent=np.empty(0, dtype=bool),
         version_lag=np.empty(0, dtype=np.int64),
+        last_operation_id=last_operation_id,
     )
 
 
@@ -155,15 +162,21 @@ def observe_staleness(
     strict-increase index, and version lags come from
     :func:`~repro.analysis.windows.prefix_dominance_counts`.
     """
+    write_columns = trace_log.write_columns()
+    read_columns = trace_log.read_columns()
+    last_operation_id = int(
+        max(
+            write_columns["operation_id"].max(initial=0),
+            read_columns["operation_id"].max(initial=0),
+        )
+    )
     read_rows = trace_log.completed_read_rows(key)
     total_reads = read_rows.shape[0]
     if total_reads == 0:
-        return _empty_frame()
+        return _empty_frame(last_operation_id)
     write_rows = trace_log.committed_write_rows(key)
     if write_rows.shape[0] == 0:
-        return _empty_frame()
-    write_columns = trace_log.write_columns()
-    read_columns = trace_log.read_columns()
+        return _empty_frame(last_operation_id)
     ranks = trace_log.writer_sort_ranks()
     modulus = len(trace_log.string_table()) + 1
 
@@ -246,6 +259,7 @@ def observe_staleness(
         t_since_commit_ms=t_since[positions],
         consistent=consistent[positions],
         version_lag=lag[positions],
+        last_operation_id=last_operation_id,
     )
 
 

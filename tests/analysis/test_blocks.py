@@ -46,9 +46,10 @@ class TestFrameConcat:
         second = observe_staleness(_log("beta", "c-1", op_base=10))
         third = observe_staleness(_log("alpha", "c-1", op_base=20))
         joined = StalenessFrame.concat([first, second, third])
-        # Read ids 1, 2 | 11, 12 | 21, 22, each frame offset past the
-        # largest joined id before it.
+        # Read ids 1, 2 | 11, 12 | 21, 22, each frame offset by the last
+        # operation ids of the logs before it: 0, then 2, then 2 + 12.
         assert joined.operation_ids.tolist() == [1, 2, 13, 14, 35, 36]
+        assert joined.last_operation_id == 2 + 12 + 22
         expected = first.observations() + second.observations() + third.observations()
         assert [
             dataclasses.replace(observation, operation_id=0)
@@ -65,6 +66,23 @@ class TestFrameConcat:
         assert len(joined) == 2
         assert joined.key_ids.dtype == np.int64
         assert joined.operation_ids.tolist() == [1, 2]
+
+    def test_offsets_count_operations_that_left_no_observation(self):
+        # Operations 1-3 as in _log, then a write that never commits and a
+        # read of a key nobody wrote: neither gives an observation.
+        log = _log("alpha", "c-0", op_base=1)
+        log.begin_write(4, "alpha", Version(2, "c-0"), "c-0", 20.0)
+        ref = log.begin_read(5, "gamma", "c-0", 21.0)
+        log.note_read_complete(ref, None, 22.0)
+        first = observe_staleness(log)
+        assert first.operation_ids.tolist() == [2, 3]
+        assert first.last_operation_id == 5
+        second = observe_staleness(_log("beta", "c-1", op_base=1))
+        joined = StalenessFrame.concat([first, second])
+        # The second run's reads 2 and 3 come after all 5 of the first's
+        # operations, whichever of those were observed.
+        assert joined.operation_ids.tolist() == [2, 3, 7, 8]
+        assert joined.last_operation_id == 8
 
 
 class TestRunBlocks:
