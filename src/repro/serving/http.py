@@ -384,9 +384,11 @@ def serve_forever(
     Returns the number of responses handled, and closes the server.  The
     request limit exists for scripted runs (tests, docs, the CLI's
     ``--request-limit``): the response that reaches it stops both accept
-    threads, but the other thread may still finish the request it holds, so
-    the limit is a floor, not an exact cap.  ``KeyboardInterrupt`` (a
-    SIGTERM the caller turned into one, too) ends the run cleanly.
+    threads, but each still finishes the connection it holds or has just
+    accepted, so the limit is a floor, not an exact cap.
+    ``KeyboardInterrupt`` (a SIGTERM the caller turned into one, too) ends
+    the run cleanly, once the accept threads have finished those
+    connections: within :data:`CONNECTION_TIMEOUT_S` plus their handling.
     """
     server.request_limit = request_limit
     try:
