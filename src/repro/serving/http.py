@@ -388,7 +388,8 @@ def serve_forever(
     accepted, so the limit is a floor, not an exact cap.
     ``KeyboardInterrupt`` (a SIGTERM the caller turned into one, too) ends
     the run cleanly, once the accept threads have finished those
-    connections: within :data:`CONNECTION_TIMEOUT_S` plus their handling.
+    connections: reading a request takes at most :data:`CONNECTION_TIMEOUT_S`,
+    and so does writing its reply.
     """
     server.request_limit = request_limit
     try:
