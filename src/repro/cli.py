@@ -27,7 +27,9 @@ recommendations against continuously refit models.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 from typing import Sequence
 
 from repro.core.predictor import PBSPredictor
@@ -355,11 +357,18 @@ def _command_serve(
         service.start_spot_check_worker()
     server = make_server(service, host=host, port=port, verbose=verbose)
     bound_host, bound_port = server.server_address[:2]
-    print(f"pbs-repro serving on http://{bound_host}:{bound_port}", flush=True)
-    print(f"default tenant registered with the {fit} fit", flush=True)
+    # SIGTERM, a process manager's stop signal, takes Ctrl-C's clean exit.
+    # Only the main thread may set a signal handler.
+    in_main_thread = threading.current_thread() is threading.main_thread()
+    if in_main_thread:
+        previous_handler = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        print(f"pbs-repro serving on http://{bound_host}:{bound_port}", flush=True)
+        print(f"default tenant registered with the {fit} fit", flush=True)
         handled = serve_forever(server, request_limit=request_limit)
     finally:
+        if in_main_thread:
+            signal.signal(signal.SIGTERM, previous_handler)
         service.stop_spot_check_worker()
     print(f"served {handled} responses", flush=True)
     return 0

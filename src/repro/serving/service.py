@@ -27,6 +27,8 @@ eventual? how consistent? which (N, R, W)?" as the environment drifts.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import json
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -110,6 +112,11 @@ class ServedPrediction:
             "degraded": self.degraded,
         }
 
+    @functools.cached_property
+    def json_body(self) -> bytes:
+        """:meth:`to_dict` as JSON bytes, encoded once per object."""
+        return json.dumps(self.to_dict()).encode()
+
 
 @dataclass(frozen=True)
 class ServedRecommendation:
@@ -143,6 +150,11 @@ class ServedRecommendation:
             "best": evaluation_dict(self.best) if self.best is not None else None,
             "evaluations": [evaluation_dict(e) for e in self.evaluations],
         }
+
+    @functools.cached_property
+    def json_body(self) -> bytes:
+        """:meth:`to_dict` as JSON bytes, encoded once per object."""
+        return json.dumps(self.to_dict()).encode()
 
 
 @dataclass(frozen=True)

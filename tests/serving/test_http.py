@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +198,111 @@ class TestErrorMapping:
 def _connect(url: str) -> socket.socket:
     address = urllib.parse.urlsplit(url)
     return socket.create_connection((address.hostname, address.port), timeout=_TIMEOUT_S)
+
+
+def _exchange(url: str, request: bytes, half_close: bool = False) -> tuple[int, str, dict]:
+    """Send raw ``request`` bytes (then shut the sending side if
+    ``half_close``) and read the reply until the server closes: its status,
+    ``Content-Type`` and JSON body."""
+    with _connect(url) as connection:
+        connection.sendall(request)
+        if half_close:
+            connection.shutdown(socket.SHUT_WR)
+        reply = b""
+        while True:
+            chunk = connection.recv(1 << 16)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    return int(status_line.split(" ")[1]), headers["Content-Type"], json.loads(body)
+
+
+def _header_lines(count: int, value: bytes) -> bytes:
+    return b"".join(b"X-Filler-%d: %s\r\n" % (index, value) for index in range(count))
+
+
+class TestRequestHead:
+    """Requests refused before routing still get a JSON reply with a status
+    line, and count as handled."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"PUT /healthz HTTP/1.1\r\n\r\n", 501),
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\r\n" + _header_lines(70, b"v" * 1000) + b"\r\n", 431),
+            (b"GET /healthz HTTP/1.1\r\n" + _header_lines(101, b"v") + b"\r\n", 431),
+            (b"GET /healthz HTTP/1.1\r\nNo-Colon\r\n\r\n", 400),
+            (b"GET /healthz HTTP/1.1\nHost: x\n\n", 400),
+            (
+                b"POST /tenants/beta HTTP/1.1\r\nContent-Length: 2\r\n"
+                b"Content-Length: 3\r\n\r\n{}",
+                400,
+            ),
+            (b"POST /tenants/beta HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}", 400),
+            (b"POST /tenants/beta HTTP/1.1\r\nContent-Length: 2_0\r\n\r\n{}", 400),
+            (
+                b"POST /tenants/beta HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n",
+                501,
+            ),
+        ],
+        ids=[
+            "unsupported-method",
+            "request-line-too-long",
+            "malformed-request-line",
+            "head-too-large",
+            "too-many-header-lines",
+            "header-line-without-colon",
+            "bare-lf-line-ends",
+            "conflicting-content-lengths",
+            "signed-content-length",
+            "underscored-content-length",
+            "transfer-encoding",
+        ],
+    )
+    def test_refused_head_gets_a_counted_json_reply(
+        self, server, server_url, request_bytes, status
+    ):
+        answered, content_type, body = _exchange(server_url, request_bytes)
+        assert (answered, content_type) == (status, "application/json")
+        assert "error" in body
+        # The server closes the connection after counting the reply.
+        assert server.requests_handled == 1
+        assert _get(f"{server_url}/tenants")[1] == {"tenants": ["acme"]}
+
+    def test_server_answers_after_a_garbage_head(self, server_url):
+        status, _, _ = _exchange(server_url, b"\x00\xff GARBAGE \x01\x7f\r\n\r\n")
+        assert status == 400
+        assert _get(f"{server_url}/healthz") == (200, {"status": "ok"})
+
+    def test_head_cut_short_is_400(self, server, server_url):
+        status, _, body = _exchange(
+            server_url, b"GET /healthz HTTP/1.1\r\nHost: x\r\n", half_close=True
+        )
+        assert status == 400 and "head" in body["error"]
+        assert server.requests_handled == 1
+
+    def test_body_cut_short_is_400_and_registers_nothing(self, server_url):
+        status, _, body = _exchange(
+            server_url,
+            b"POST /tenants/beta HTTP/1.1\r\nContent-Length: 10\r\n\r\n",
+            half_close=True,
+        )
+        assert status == 400 and "0 of 10 bytes" in body["error"]
+        assert _get(f"{server_url}/tenants")[1] == {"tenants": ["acme"]}
+
+    def test_header_names_ignore_case(self, server_url):
+        raw = b'{"leg": "W", "values": [1.0]}'
+        request = (
+            b"POST /tenants/acme/observations HTTP/1.1\r\ncOnTeNt-LeNgTh: %d\r\n\r\n%s"
+            % (len(raw), raw)
+        )
+        assert _exchange(server_url, request)[::2] == (200, {"tenant": "acme", "ingested": 1})
 
 
 def _trickle(
@@ -410,6 +519,31 @@ class TestServeCommand:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1" and args.port == 8080
         assert args.fit == "LNKD-SSD" and args.request_limit is None
+
+    def test_sigterm_exits_cleanly(self):
+        env = dict(os.environ)
+        paths = [str(Path(__file__).resolve().parents[2] / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--no-spot-checks"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        ) as process:
+            try:
+                banner = process.stdout.readline()
+                assert "serving on http://" in banner, process.stderr.read()
+                port = banner.rsplit(":", 1)[1].strip()
+                assert _get(f"http://127.0.0.1:{port}/healthz")[0] == 200
+                process.send_signal(signal.SIGTERM)
+                out, err = process.communicate(timeout=30)
+            finally:
+                if process.poll() is None:
+                    process.kill()
+                    process.communicate()
+        assert process.returncode == 0, err
+        assert "served 1 responses" in out
 
 
 def _post_raw(url: str, data: bytes) -> tuple[int, dict]:
