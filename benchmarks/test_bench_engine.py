@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.quorum import ReplicaConfig
 from repro.core.wars import WARSModel
+from repro.kernels import KERNEL
 from repro.latency.distributions import ExponentialLatency
 from repro.latency.production import WARSDistributions, ymmr
 from repro.montecarlo.convergence import wilson_interval
@@ -95,6 +96,69 @@ def test_engine_speedup_over_per_config_loop():
         f"expected >= 3x speedup for an {len(CONFIGS)}-config {TRIALS}-trial sweep, "
         f"got {speedup:.2f}x ({loop_seconds:.3f}s vs {engine_seconds:.3f}s)"
     )
+
+
+def _sort_reduction(write_delays, ack_delays, read_delays, response_delays):
+    """The sort-based reduction the kernel's insertion network replaced.
+
+    ``tests/montecarlo/test_accumulator_oracle.py`` keeps the same steps as
+    the kernel's oracle; here they are the speed baseline.
+    """
+    trials = write_delays.shape[0]
+    commit = np.sort(write_delays + ack_delays, axis=1)
+    read_round_trips = read_delays + response_delays
+    order = np.argsort(read_round_trips, axis=1, kind="stable")
+    rows = np.arange(trials)[:, None]
+    margins = (write_delays - read_delays)[rows, order]
+    return commit, read_round_trips[rows, order], np.minimum.accumulate(margins, axis=1)
+
+
+def measure_reduction_vs_sort(max_n: int = 10, trials: int = SAMPLE_BLOCK) -> dict:
+    """Time the kernel's reduction against the sort-based one, N = 1..max_n.
+
+    One sampling block of exponential delays per N; best of 7 rounds of 20
+    calls each, per side.
+    """
+    rng = np.random.default_rng(0)
+    by_n = {}
+    for n in range(1, max_n + 1):
+        legs = [rng.exponential(1.0, (trials, n)) for _ in range(4)]
+        seconds = {}
+        for name, reduce in (("network", KERNEL.reduce_batch), ("sort", _sort_reduction)):
+
+            def twenty_calls():
+                for _ in range(20):
+                    reduce(*legs)
+
+            twenty_calls()
+            seconds[name] = _time_best_of(7, twenty_calls) / 20
+        by_n[str(n)] = {
+            "network_us": seconds["network"] * 1e6,
+            "sort_us": seconds["sort"] * 1e6,
+            "speedup": seconds["sort"] / seconds["network"],
+        }
+    slower = [int(n) for n, row in by_n.items() if row["speedup"] < 1.0]
+    return {
+        "trials": trials,
+        "by_n": by_n,
+        "first_n_slower_than_sort": min(slower) if slower else None,
+    }
+
+
+@pytest.mark.benchmark(group="engine")
+def test_reduction_not_slower_than_sort_up_to_five_replicas():
+    """The paper's replication factors (N <= 5) reduce at least as fast as by sorting."""
+    result = measure_reduction_vs_sort(max_n=5)
+    for n, row in result["by_n"].items():
+        print(
+            f"\nN={n}: network {row['network_us']:.0f}us  sort {row['sort_us']:.0f}us  "
+            f"speedup {row['speedup']:.2f}x",
+            end="",
+        )
+        assert row["speedup"] >= 1.0, (
+            f"the insertion network is slower than sorting at N={n}: "
+            f"{row['network_us']:.0f}us vs {row['sort_us']:.0f}us"
+        )
 
 
 def measure_sharded_speedup(workers: int = 4) -> dict:

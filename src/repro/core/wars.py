@@ -109,6 +109,11 @@ class WARSSampleBatch:
     configuration had been reduced from the same four matrices individually —
     :meth:`reduce` is bit-for-bit identical to what
     :meth:`WARSModel.sample` computes for a single configuration.
+
+    The three reduced matrices are transposed views of ``(N, trials)``
+    arrays (:data:`repro.kernels.KERNEL` works on one row per replica), so
+    each column is contiguous in memory.  Equal round trips keep replica
+    order, ``-0.0`` and ``0.0`` included.
     """
 
     n: int
@@ -161,8 +166,9 @@ def sample_wars_batch(
     The sampling order (W/A pair first, then R/S pair) matches
     :meth:`WARSModel.sample` exactly, so a batch drawn from a generator in a
     given state yields the same trials the single-configuration kernel would
-    have produced from that state.  The sort/argsort/prefix-min reduction
-    is :data:`repro.kernels.KERNEL`.
+    have produced from that state.  The reduction (sorted write round
+    trips, read round trips in stable responder order, prefix minima of
+    ``W - R`` in that order) is :data:`repro.kernels.KERNEL`.
     """
     if trials < 1:
         raise ConfigurationError(f"trial count must be >= 1, got {trials}")

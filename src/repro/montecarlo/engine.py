@@ -151,7 +151,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.quorum import ReplicaConfig
-from repro.core.wars import WARSTrialResult, sample_wars_batch
+from repro.core.wars import WARSSampleBatch, WARSTrialResult, sample_wars_batch
 from repro.exceptions import AnalysisError, ConfigurationError
 from repro.latency.production import WARSDistributions
 from repro.montecarlo.convergence import ProbabilityEstimate, wilson_interval
@@ -954,12 +954,17 @@ class _ConfigAccumulator:
                 "cannot merge accumulators with mismatched sample retention"
             )
 
-    def update(self, result: WARSTrialResult) -> None:
-        """Fold one block of trials in, sorting each result column once.
+    def update(
+        self, result: WARSTrialResult, reads_sorted: np.ndarray, commits_sorted: np.ndarray
+    ) -> None:
+        """Fold one block of trials in, given its read and commit latencies sorted.
 
-        Every column is sorted into a copy: a result's arrays are views of
-        the batch, shared with the other configurations, or kept as samples.
-        On the sorted thresholds, ``searchsorted(..., side="right")`` counts
+        The caller sorts each read and commit column once and passes the same
+        sorted copy to every configuration with that R or W
+        (:func:`_accumulate_batch`).  The thresholds are this
+        configuration's own, so they are sorted here, into a copy: a result's
+        arrays are views of the batch or kept as samples.  On the sorted
+        thresholds, ``searchsorted(..., side="right")`` counts
         ``thresholds <= t`` for every probe at once, and the threshold
         histogram bins the same sorted array.
         """
@@ -974,8 +979,8 @@ class _ConfigAccumulator:
             entry[1] += size
         self.nonpositive_thresholds += int(thresholds.searchsorted(0.0, side="right"))
         self.threshold_histogram._update_sorted(thresholds)
-        self.read_histogram.update(result.read_latencies_ms)
-        self.write_histogram.update(result.commit_latencies_ms)
+        self.read_histogram._update_sorted(reads_sorted)
+        self.write_histogram._update_sorted(commits_sorted)
         if self._kept is not None:
             self._kept.append(result)
 
@@ -1270,9 +1275,35 @@ def _accumulate_seeded_span(
             rows = min(SAMPLE_BLOCK, count - offset)
             generator = np.random.default_rng(block_seeds[n][begin // SAMPLE_BLOCK])
             batch = sample_wars_batch(distributions, rows, n, generator)
-            for index in config_indices:
-                accumulators[index].update(batch.reduce(configs[index]))
+            _accumulate_batch(batch, configs, config_indices, accumulators)
             offset += rows
+
+
+def _accumulate_batch(
+    batch: WARSSampleBatch,
+    configs: tuple[ReplicaConfig, ...],
+    config_indices: tuple[int, ...],
+    accumulators: Sequence[_ConfigAccumulator],
+) -> None:
+    """Fold one sampled batch into the accumulators of ``config_indices``.
+
+    Configurations with the same R read the same read-latency column of the
+    batch, and those with the same W the same commit column, so each
+    distinct column is sorted once here and the sorted copy is binned by
+    every configuration that reads it.  Shared by the seeded span, the
+    sequential-generator loop and (through the span) the workers.
+    """
+    chosen = [configs[index] for index in config_indices]
+    reads_sorted = {
+        r: np.sort(batch.read_latency_by_r_ms[:, r - 1]) for r in {c.r for c in chosen}
+    }
+    commits_sorted = {
+        w: np.sort(batch.commit_latency_by_w_ms[:, w - 1]) for w in {c.w for c in chosen}
+    }
+    for index, config in zip(config_indices, chosen):
+        accumulators[index].update(
+            batch.reduce(config), reads_sorted[config.r], commits_sorted[config.w]
+        )
 
 
 class SweepEngine:
@@ -1571,8 +1602,7 @@ class SweepEngine:
             if sequential is not None:
                 for n, config_indices in self._groups:
                     batch = sample_wars_batch(self._distributions, count, n, sequential)
-                    for index in config_indices:
-                        accumulators[index].update(batch.reduce(self._configs[index]))
+                    _accumulate_batch(batch, self._configs, config_indices, accumulators)
             else:
                 _accumulate_seeded_span(
                     self._distributions,

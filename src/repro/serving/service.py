@@ -21,7 +21,8 @@ eventual? how consistent? which (N, R, W)?" as the environment drifts.
   auditor: served answers enqueue a sampling cross-check which a background
   worker (or an explicit :meth:`run_pending_spot_checks` call) drains off the
   request path, mirroring the hybrid-mode contract of
-  :meth:`repro.core.predictor.PBSPredictor.report`.
+  :meth:`repro.core.predictor.PBSPredictor.report`.  Queued answers of one
+  environment share one sweep.
 """
 
 from __future__ import annotations
@@ -337,7 +338,8 @@ class PredictorService:
         last-good environment (answers flagged ``degraded``) until a manual
         :meth:`refit` — the half-open probe — succeeds.
     spot_check_trials:
-        Monte Carlo trials per asynchronous audit.
+        Monte Carlo trials per asynchronous audit sweep; one sweep audits
+        the queued answers of one environment together.
     spot_check_tolerance:
         Largest |analytic − sampled| consistency disagreement an audit may
         report and still pass.
@@ -776,10 +778,16 @@ class PredictorService:
     def run_pending_spot_checks(self, max_checks: int | None = None) -> list[SpotCheckResult]:
         """Drain queued audits (up to ``max_checks``) and return their results.
 
-        Each audit replays the served probe times through the Monte Carlo
-        sweep engine and compares the sampled consistency probabilities with
-        the analytic answers that were served.  Sampling runs outside the
-        service lock, so serving continues while audits are in flight.
+        An audit replays served probe times through the Monte Carlo sweep
+        engine and compares the sampled consistency probabilities with the
+        analytic answers that were served.  The oldest queued answer is
+        audited together with every later queued answer of its tenant and
+        environment fingerprint, up to ``max_checks``: one sweep, with one
+        seed and ``spot_check_trials`` trials, covers their distinct
+        configurations and the union of their probe times.  Each answer is
+        then judged at its own probes and gets its own result, in queue
+        order.  Sampling runs outside the service lock, so serving continues
+        while audits are in flight.
         """
         from repro.montecarlo.engine import SweepEngine
 
@@ -788,31 +796,57 @@ class PredictorService:
             with self._lock:
                 if not self._spot_queue:
                     break
-                item = self._spot_queue.popleft()
+                limit = None if max_checks is None else max_checks - len(results)
+                items = self._take_spot_checks(limit)
                 seed = int(self._spot_rng.integers(0, 2**31 - 1))
-            probe_times = tuple(t for t, _ in item.probes)
-            engine = SweepEngine(item.distributions, (item.config,), times_ms=probe_times)
-            summary = engine.run(self._spot_check_trials, seed).results[0]
-            error = max(
-                abs(expected - summary.consistency_probability(t))
-                for t, expected in item.probes
-            )
-            outcome = SpotCheckResult(
-                tenant=item.tenant,
-                config=item.config,
-                fingerprint=item.fingerprint,
-                trials=self._spot_check_trials,
-                max_absolute_error=error,
-                passed=error <= self._spot_check_tolerance,
-            )
+            configs = tuple(dict.fromkeys(item.config for item in items))
+            probe_times = sorted({t for item in items for t, _ in item.probes})
+            engine = SweepEngine(items[0].distributions, configs, times_ms=probe_times)
+            sweep = engine.run(self._spot_check_trials, seed)
+            outcomes = []
+            for item in items:
+                summary = sweep.for_config(item.config)
+                error = max(
+                    abs(expected - summary.consistency_probability(t))
+                    for t, expected in item.probes
+                )
+                outcomes.append(
+                    SpotCheckResult(
+                        tenant=item.tenant,
+                        config=item.config,
+                        fingerprint=item.fingerprint,
+                        trials=self._spot_check_trials,
+                        max_absolute_error=error,
+                        passed=error <= self._spot_check_tolerance,
+                    )
+                )
             with self._lock:
-                self._spot_runs += 1
-                if not outcome.passed:
-                    self._spot_failures += 1
-                self._max_spot_error = max(self._max_spot_error, error)
-                self._spot_results.append(outcome)
-            results.append(outcome)
+                self._spot_runs += len(outcomes)
+                self._spot_failures += sum(not outcome.passed for outcome in outcomes)
+                self._max_spot_error = max(
+                    self._max_spot_error, *(outcome.max_absolute_error for outcome in outcomes)
+                )
+                self._spot_results.extend(outcomes)
+            results.extend(outcomes)
         return results
+
+    def _take_spot_checks(self, limit: int | None) -> list[_SpotCheckItem]:
+        """Dequeue the oldest audit and the later ones of its environment.
+
+        At most ``limit`` items, in queue order; audits of other tenants or
+        fingerprints keep their places.  Called with the service lock held.
+        """
+        head = self._spot_queue.popleft()
+        taken, kept = [head], []
+        for item in self._spot_queue:
+            same = item.tenant == head.tenant and item.fingerprint == head.fingerprint
+            if same and (limit is None or len(taken) < limit):
+                taken.append(item)
+            else:
+                kept.append(item)
+        self._spot_queue.clear()
+        self._spot_queue.extend(kept)
+        return taken
 
     def spot_check_results(self) -> tuple[SpotCheckResult, ...]:
         """The most recent completed audits (bounded history)."""

@@ -1,31 +1,158 @@
-"""The one-sort accumulators against the multi-pass algorithm they replaced.
+"""The Monte Carlo reduction and accumulators against the algorithms they replaced.
 
-Each block of trials is sorted once per result column: probes are counted by
-``searchsorted`` of the sorted thresholds, and every histogram bins its
-sorted values by one ``searchsorted`` of its frozen edges.  The reference
-below is the earlier algorithm, kept here as the oracle: ``count_nonzero``
-passes for the extremes, underflow and overflow, ``np.histogram`` for the
-bins, and boolean ``thresholds <= t`` matrices for the probes.  Every piece
-of state must agree exactly, on inputs chosen to sit on the boundaries the
-golden sweeps never hit: values on the frozen edges, values outside them,
-degenerate first batches, and thresholds equal to probe times (``-0.0``
-and ``0.0`` included).
+The kernel (:data:`repro.kernels.KERNEL`) sorts each trial's replicas with a
+stable insertion network over one row per replica.  The reference below is
+the reduction it replaced, kept here as the oracle: ``np.sort`` of the write
+round trips, a stable ``argsort`` of the read round trips, a gather of both
+read round trips and ``W - R`` margins in that order, and
+``np.minimum.accumulate``.  All three outputs must agree byte for byte, so a
+``-0.0`` must come out where the oracle puts it.
+
+Each block of trials is then sorted once per result column, and each
+distinct read or commit column once for every configuration that reads it:
+probes are counted by ``searchsorted`` of the sorted thresholds, and every
+histogram bins its sorted values by one ``searchsorted`` of its frozen
+edges.  The reference below is the earlier algorithm, kept here as the
+oracle: ``count_nonzero`` passes for the extremes, underflow and overflow,
+``np.histogram`` for the bins, and boolean ``thresholds <= t`` matrices for
+the probes.  Every piece of state must agree exactly, on inputs chosen to
+sit on the boundaries the golden sweeps never hit: values on the frozen
+edges, values outside them, degenerate first batches, and thresholds equal
+to probe times (``-0.0`` and ``0.0`` included).
+
+NumPy picks its sort and comparison loops by the CPU features it finds, so
+the module runs again in a subprocess with the AVX-512 loops switched off
+wherever NumPy reports AVX-512.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.quorum import ReplicaConfig
 from repro.core.wars import WARSTrialResult, sample_wars_batch
-from repro.latency.production import lnkd_ssd
-from repro.montecarlo.engine import StreamingHistogram, _ConfigAccumulator
+from repro.experiments.table4 import TABLE4_CONFIGS
+from repro.kernels import KERNEL
+from repro.latency.production import lnkd_ssd, ymmr
+from repro.montecarlo.engine import StreamingHistogram, _accumulate_batch, _ConfigAccumulator
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as _CPU_FEATURES
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__ as _CPU_FEATURES
+
+#: The switch that turns NumPy's AVX-512 loops off for one process.
+_AVX512_OFF = "AVX512_SPR AVX512_ICL X86_V4"
 
 _BINS = 64
 _CONFIG = ReplicaConfig(3, 1, 1)
 _BASE_TIMES = np.array([0.0, 0.5, 1.0, 2.5, 10.0])
 _REFINED_TIMES = (0.25, 0.75, 1.75)
+
+
+def _reference_reduce(
+    write_delays: np.ndarray,
+    ack_delays: np.ndarray,
+    read_delays: np.ndarray,
+    response_delays: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The earlier ``reduce_batch``: sort, stable argsort, gathers, prefix minima."""
+    trials = write_delays.shape[0]
+    commit_latency_by_w = np.sort(write_delays + ack_delays, axis=1)
+    read_round_trips = read_delays + response_delays
+    responder_order = np.argsort(read_round_trips, axis=1, kind="stable")
+    row_index = np.arange(trials)[:, None]
+    read_latency_by_r = read_round_trips[row_index, responder_order]
+    margins = (write_delays - read_delays)[row_index, responder_order]
+    return commit_latency_by_w, read_latency_by_r, np.minimum.accumulate(margins, axis=1)
+
+
+def _legs(kind: str, trials: int, n: int, seed: int) -> list[np.ndarray]:
+    """The four ``(trials, n)`` delay matrices W, A, R, S of one kind."""
+    rng = np.random.default_rng(seed)
+    shape = (trials, n)
+    if kind == "continuous":
+        return [
+            rng.exponential(2.0, shape),
+            rng.pareto(1.5, shape),
+            rng.exponential(0.5, shape),
+            rng.lognormal(0.0, 1.0, shape),
+        ]
+    if kind == "integer":
+        # Three values per leg: most rows hold ties, and W - R hits 0.0.
+        return [rng.integers(0, 3, shape).astype(float) for _ in range(4)]
+    if kind == "constant":
+        return [np.full(shape, value) for value in (2.0, 1.0, 0.5, 0.5)]
+    if kind == "signed-zero":
+        # An empirical leg can hold -0.0: sums and differences of -0.0 and
+        # 0.0 give both signs, so rows mix them in all three outputs.
+        return [rng.choice([-0.0, 0.0, 1.0], size=shape) for _ in range(4)]
+    raise AssertionError(kind)
+
+
+def _same_bytes(actual: np.ndarray, expected: np.ndarray) -> bool:
+    return (
+        actual.shape == expected.shape
+        and actual.dtype == expected.dtype
+        and np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+    )
+
+
+class TestReductionOracle:
+    @pytest.mark.parametrize("trials", [1, 8_193])
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("kind", ["continuous", "integer", "constant"])
+    def test_network_matches_the_sort_reduction(self, kind, n, trials):
+        legs = _legs(kind, trials, n, seed=100 * n + trials)
+        before = [leg.copy() for leg in legs]
+        actual = KERNEL.reduce_batch(*legs)
+        expected = _reference_reduce(*legs)
+        for name, got, want in zip(("commit", "read", "margin"), actual, expected):
+            assert _same_bytes(got, want), name
+        for leg, copy in zip(legs, before):
+            assert _same_bytes(leg, copy)
+
+    @pytest.mark.parametrize("trials", [1, 8_193])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_signed_zeros_keep_the_stable_order(self, n, trials):
+        legs = _legs("signed-zero", trials, n, seed=7 * n + trials)
+        commit, read, margin = KERNEL.reduce_batch(*legs)
+        _, expected_read, expected_margin = _reference_reduce(*legs)
+        zeros = commit == 0.0
+        if trials > 1:
+            assert (zeros & np.signbit(commit)).any() and (zeros & ~np.signbit(commit)).any()
+        assert _same_bytes(read, expected_read)
+        assert _same_bytes(margin, expected_margin)
+        # ``np.sort``'s default kind is not stable: on rows of four or more
+        # it can exchange -0.0 and 0.0, and NumPy's AVX2 loops can even turn
+        # one into the other in rows of five or more, so which zero lands
+        # where depends on the CPU.  Here the oracle is the stable sort,
+        # which the default kind equals on every row without signed zeros.
+        write_round_trips = legs[0] + legs[1]
+        assert _same_bytes(commit, np.sort(write_round_trips, axis=1, kind="stable"))
+
+
+@pytest.mark.skipif(
+    not _CPU_FEATURES.get("AVX512F") or "NPY_DISABLE_CPU_FEATURES" in os.environ,
+    reason="NumPy reports no AVX-512 here, or this is the rerun",
+)
+def test_module_passes_with_avx512_loops_off():
+    root = Path(__file__).resolve().parents[2]
+    completed = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(Path(__file__))],
+        cwd=root,
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": _AVX512_OFF},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert completed.returncode == 0, completed.stdout[-4000:] + completed.stderr[-2000:]
 
 
 def _reference_histogram_update(histogram: StreamingHistogram, values) -> None:
@@ -171,6 +298,13 @@ def _probe_result(rng: np.random.Generator, size: int) -> WARSTrialResult:
     )
 
 
+def _update_sorting_each_column(accumulator: _ConfigAccumulator, result: WARSTrialResult) -> None:
+    """One configuration's update with its own sorted read and commit columns."""
+    accumulator.update(
+        result, np.sort(result.read_latencies_ms), np.sort(result.commit_latencies_ms)
+    )
+
+
 def _assert_accumulators_equal(actual: _ConfigAccumulator, expected: _ConfigAccumulator) -> None:
     assert actual.trials == expected.trials
     assert np.array_equal(actual.consistent_counts, expected.consistent_counts)
@@ -193,7 +327,7 @@ class TestConfigAccumulatorOracle:
                 actual.add_probes(_REFINED_TIMES)
                 expected.add_probes(_REFINED_TIMES)
             result = _probe_result(rng, 97 + 40 * block)
-            actual.update(result)
+            _update_sorting_each_column(actual, result)
             _reference_accumulator_update(expected, result)
             _assert_accumulators_equal(actual, expected)
         assert actual.nonpositive_thresholds > 0
@@ -203,16 +337,16 @@ class TestConfigAccumulatorOracle:
     def test_merged_refined_probes_are_counted_too(self):
         rng = np.random.default_rng(17)
         primed = _ConfigAccumulator(_CONFIG, _BASE_TIMES, _BINS, keep_samples=False)
-        primed.update(_probe_result(rng, 120))
+        _update_sorting_each_column(primed, _probe_result(rng, 120))
         actual, expected = primed.spawn_empty(), primed.spawn_empty()
         shard = primed.spawn_empty()
         shard.add_probes(_REFINED_TIMES[1:])
-        shard.update(_probe_result(rng, 60))
+        _update_sorting_each_column(shard, _probe_result(rng, 60))
         for accumulator in (actual, expected):
             accumulator.add_probes(_REFINED_TIMES[:1])
             accumulator.merge(shard)
         result = _probe_result(rng, 150)
-        actual.update(result)
+        _update_sorting_each_column(actual, result)
         _reference_accumulator_update(expected, result)
         _assert_accumulators_equal(actual, expected)
 
@@ -220,8 +354,8 @@ class TestConfigAccumulatorOracle:
         """Configurations with the same R read one column of the batch, so
         sorting it in place would reorder the other configuration's trials."""
         batch = sample_wars_batch(lnkd_ssd(), 500, 3, np.random.default_rng(19))
-        first, second = ReplicaConfig(3, 1, 1), ReplicaConfig(3, 1, 2)
-        results = [batch.reduce(first), batch.reduce(second)]
+        configs = (ReplicaConfig(3, 1, 1), ReplicaConfig(3, 1, 2))
+        results = [batch.reduce(config) for config in configs]
         assert np.shares_memory(results[0].read_latencies_ms, results[1].read_latencies_ms)
         fields = (
             "write_arrivals_ms",
@@ -238,13 +372,65 @@ class TestConfigAccumulatorOracle:
             )
             for result in results
         ]
-        accumulator = _ConfigAccumulator(first, _BASE_TIMES, _BINS, keep_samples=True)
-        accumulator.update(results[0])
+        accumulators = [
+            _ConfigAccumulator(config, _BASE_TIMES, _BINS, keep_samples=True)
+            for config in configs
+        ]
+        _accumulate_batch(batch, configs, (0, 1), accumulators)
         for name in fields:
             assert np.array_equal(getattr(batch, name), batch_before[name])
         for result, (commit, read, thresholds) in zip(results, results_before):
             assert np.array_equal(result.commit_latencies_ms, commit)
             assert np.array_equal(result.read_latencies_ms, read)
             assert np.array_equal(result.staleness_thresholds_ms, thresholds)
-        kept = accumulator.kept_results()[0]
-        assert np.array_equal(kept.read_latencies_ms, results_before[0][1])
+        for accumulator, (commit, read, thresholds) in zip(accumulators, results_before):
+            kept = accumulator.kept_results()[0]
+            assert np.array_equal(kept.commit_latencies_ms, commit)
+            assert np.array_equal(kept.read_latencies_ms, read)
+            assert np.array_equal(kept.staleness_thresholds_ms, thresholds)
+
+
+class TestSharedSortedColumns:
+    """One sorted read or commit column per block, shared by every
+    configuration with that R or W, bins as sorting per configuration does."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_shared_columns_match_per_configuration_sorting(self, n):
+        configs = tuple(
+            ReplicaConfig(n, r, w)
+            for r, w in ((1, 1), (1, 2), (2, 1), (2, 2), (n, 1), (1, n), (2, 2))
+        )
+        indices = tuple(range(len(configs)))
+        shared = [_ConfigAccumulator(c, _BASE_TIMES, _BINS, keep_samples=False) for c in configs]
+        reference = [
+            _ConfigAccumulator(c, _BASE_TIMES, _BINS, keep_samples=False) for c in configs
+        ]
+        rng = np.random.default_rng(23)
+        # The first block freezes every layout; later blocks land on and
+        # beyond its edges, and one block is a single trial.
+        for trials in (700, 1, 2_000, 333):
+            batch = sample_wars_batch(ymmr(), trials, n, rng)
+            _accumulate_batch(batch, configs, indices, shared)
+            for accumulator, config in zip(reference, configs):
+                _reference_accumulator_update(accumulator, batch.reduce(config))
+            for actual, expected in zip(shared, reference):
+                _assert_accumulators_equal(actual, expected)
+
+    def test_each_distinct_column_is_sorted_once(self, monkeypatch):
+        batch = sample_wars_batch(lnkd_ssd(), 256, 3, np.random.default_rng(29))
+        accumulators = [
+            _ConfigAccumulator(c, _BASE_TIMES, _BINS, keep_samples=False)
+            for c in TABLE4_CONFIGS
+        ]
+        sorted_sizes = []
+        real_sort = np.sort
+
+        def counting_sort(values, *args, **kwargs):
+            sorted_sizes.append(np.shape(values))
+            return real_sort(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        _accumulate_batch(batch, TABLE4_CONFIGS, tuple(range(len(TABLE4_CONFIGS))), accumulators)
+        # Table 4 reads R in {1, 2, 3} and W in {1, 2, 3}: three read and
+        # three commit columns, plus one threshold column per configuration.
+        assert len(sorted_sizes) == 3 + 3 + len(TABLE4_CONFIGS)

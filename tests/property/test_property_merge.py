@@ -162,16 +162,22 @@ def _accumulator_shards(seed: int, pieces: int = 3) -> tuple[list[_ConfigAccumul
             staleness_thresholds_ms=result.staleness_thresholds_ms[indices],
         )
 
+    def update(accumulator, indices):
+        block = piece(indices)
+        accumulator.update(
+            block, np.sort(block.read_latencies_ms), np.sort(block.commit_latencies_ms)
+        )
+
     sequential = _ConfigAccumulator(config, times, histogram_bins=64, keep_samples=False)
     for indices in slices:
-        sequential.update(piece(indices))
+        update(sequential, indices)
 
     first = _ConfigAccumulator(config, times, histogram_bins=64, keep_samples=False)
-    first.update(piece(slices[0]))
+    update(first, slices[0])
     shards = [first]
     for indices in slices[1:]:
         shard = first.spawn_empty()
-        shard.update(piece(indices))
+        update(shard, indices)
         shards.append(shard)
     return shards, sequential
 
@@ -237,7 +243,9 @@ class TestConfigAccumulatorMergeProperties:
 
         def accumulator(keep: bool) -> _ConfigAccumulator:
             built = _ConfigAccumulator(config, times, 64, keep_samples=keep)
-            built.update(result)
+            built.update(
+                result, np.sort(result.read_latencies_ms), np.sort(result.commit_latencies_ms)
+            )
             return built
 
         with pytest.raises(AnalysisError):

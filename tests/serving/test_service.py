@@ -460,3 +460,120 @@ class TestWorkerResilience:
             assert stats.spot_check_worker_backoff_seconds == pytest.approx(0.01)
         finally:
             svc.stop_spot_check_worker()
+
+
+class TestBatchedAudits:
+    """Queued answers of one (tenant, fingerprint) share one audit sweep."""
+
+    #: Eight distinct configurations, N = 3 and N = 5.
+    CONFIGS = (
+        ReplicaConfig(3, 1, 1),
+        ReplicaConfig(3, 1, 2),
+        ReplicaConfig(3, 2, 1),
+        ReplicaConfig(3, 2, 2),
+        ReplicaConfig(3, 3, 1),
+        ReplicaConfig(3, 1, 3),
+        ReplicaConfig(5, 1, 1),
+        ReplicaConfig(5, 2, 2),
+    )
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch) -> list:
+        """The ``(distributions, configs)`` of every audit sweep, in order."""
+        from repro.montecarlo.engine import SweepEngine
+
+        recorded = []
+        real_run = SweepEngine.run
+
+        def counting_run(engine, *args, **kwargs):
+            recorded.append((engine._distributions, engine.configs))
+            return real_run(engine, *args, **kwargs)
+
+        monkeypatch.setattr(SweepEngine, "run", counting_run)
+        return recorded
+
+    def test_one_sweep_audits_every_answer_of_an_environment(self, sweeps):
+        svc = PredictorService(spot_check_trials=20_000)
+        fingerprint = svc.register_tenant("t", "LNKD-SSD")
+        for config in self.CONFIGS:
+            svc.predict("t", config)
+        results = svc.run_pending_spot_checks()
+        assert len(sweeps) == 1
+        assert sweeps[0][1] == self.CONFIGS
+        assert [result.config for result in results] == list(self.CONFIGS)
+        assert all(result.passed and result.trials == 20_000 for result in results)
+        assert {result.fingerprint for result in results} == {fingerprint}
+        stats = svc.stats()
+        assert stats.spot_checks_run == 8 and stats.spot_checks_pending == 0
+        assert svc.spot_check_results() == tuple(results)
+
+    def test_repeated_configuration_is_swept_once_and_judged_twice(self, sweeps):
+        svc = PredictorService()
+        svc.register_tenant("t", "LNKD-SSD")
+        config = ReplicaConfig(3, 1, 1)
+        svc.predict("t", config)
+        svc.predict("t", config, target_probabilities=(0.9,))
+        svc.recommend("t", SLATarget(t_visibility_ms=100.0))
+        results = svc.run_pending_spot_checks()
+        assert len(sweeps) == 1 and len(results) == 3
+        assert sweeps[0][1].count(config) == 1
+        assert all(result.passed for result in results)
+
+    def test_environments_are_never_mixed_and_keep_queue_order(self, sweeps):
+        svc = PredictorService()
+        first = svc.register_tenant("a", "LNKD-SSD")
+        other_tenant = svc.register_tenant("b", "YMMR")
+        svc.ingest("a", "W", np.random.default_rng(3).exponential(5.0, 200))
+        queued = [("a", first, self.CONFIGS[0]), ("b", other_tenant, self.CONFIGS[1])]
+        for tenant, _, config in queued:
+            svc.predict(tenant, config)
+        refitted = svc.refit("a")
+        assert refitted != first
+        queued += [("a", refitted, self.CONFIGS[2]), ("b", other_tenant, self.CONFIGS[3])]
+        for tenant, _, config in queued[2:]:
+            svc.predict(tenant, config)
+        svc.predict("a", self.CONFIGS[4])
+        queued.append(("a", refitted, self.CONFIGS[4]))
+
+        results = svc.run_pending_spot_checks()
+        # Head first: a's old fingerprint alone, then b's two answers, then
+        # a's two answers under the refitted fingerprint.
+        order = [0, 1, 3, 2, 4]
+        assert [(r.tenant, r.fingerprint, r.config) for r in results] == [
+            queued[index] for index in order
+        ]
+        assert [configs for _, configs in sweeps] == [
+            (self.CONFIGS[0],),
+            (self.CONFIGS[1], self.CONFIGS[3]),
+            (self.CONFIGS[2], self.CONFIGS[4]),
+        ]
+        assert sweeps[0][0] != sweeps[2][0]
+        assert all(result.passed for result in results)
+
+    def test_max_checks_bounds_each_call(self, sweeps):
+        svc = PredictorService()
+        svc.register_tenant("t", "LNKD-SSD")
+        for config in self.CONFIGS:
+            svc.predict("t", config)
+        first = svc.run_pending_spot_checks(max_checks=3)
+        assert [result.config for result in first] == list(self.CONFIGS[:3])
+        assert svc.stats().spot_checks_pending == 5
+        rest = svc.run_pending_spot_checks()
+        assert [result.config for result in rest] == list(self.CONFIGS[3:])
+        assert [configs for _, configs in sweeps] == [self.CONFIGS[:3], self.CONFIGS[3:]]
+        assert svc.run_pending_spot_checks(max_checks=0) == []
+
+    def test_a_wrong_answer_fails_only_itself(self, sweeps):
+        svc = PredictorService()
+        svc.register_tenant("t", "LNKD-SSD")
+        for config in self.CONFIGS:
+            svc.predict("t", config)
+        wrong = svc._spot_queue[3]
+        wrong.probes = tuple((t, p - 0.5) for t, p in wrong.probes)
+        results = svc.run_pending_spot_checks()
+        assert len(sweeps) == 1
+        assert [result.passed for result in results] == [True] * 3 + [False] + [True] * 4
+        assert results[3].max_absolute_error > 0.45
+        stats = svc.stats()
+        assert stats.spot_checks_failed == 1
+        assert stats.max_spot_check_error == results[3].max_absolute_error

@@ -1,12 +1,13 @@
 """The benchmark's traced hooks must still find the program's layers.
 
 ``perfbench/layers.py`` times a validation cell by wrapping functions by
-name in :mod:`repro.analysis.validation`'s namespace.  A rename, or a block
-body that stops calling those functions through that namespace, would leave
-a traced ``sim-cell`` run without its layers.  This test installs the hooks
-in a fresh interpreter (they patch modules for the life of the process),
-runs one small validation cell and checks the spans and the observation
-counter it records.
+name in :mod:`repro.analysis.validation`'s namespace, and the
+``answer-paths`` op by wrapping methods of the sweep engine, the kernel, the
+analytic predictor and the SLA optimiser.  A rename, or a body that stops
+calling those functions through the wrapped name, would leave a traced run
+without its layers.  These tests install the hooks in a fresh interpreter
+(they patch modules for the life of the process), run one scaled-down op of
+each workload and check the spans and counters it records.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ print(json.dumps({{
 """
 
 
-def test_traced_validation_cell_records_every_layer():
-    script = SCRIPT.format(perfbench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
+def _run_traced(script: str) -> dict:
+    """Run ``script`` in a fresh interpreter; return the JSON it prints last."""
+    script = script.format(perfbench=str(ROOT / "perfbench"), src=str(ROOT / "src"))
     completed = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -57,7 +59,11 @@ def test_traced_validation_cell_records_every_layer():
         timeout=300,
         check=True,
     )
-    record = json.loads(completed.stdout.strip().splitlines()[-1])
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+def test_traced_validation_cell_records_every_layer():
+    record = _run_traced(SCRIPT)
     assert {
         "analysis.observe",
         "workloads.generate",
@@ -67,3 +73,38 @@ def test_traced_validation_cell_records_every_layer():
     } <= set(record["spans"])
     assert record["observations"] > 0
     assert record["observed"] == record["observations"]
+
+
+ANSWER_PATHS_SCRIPT = """
+import json, sys
+sys.dont_write_bytecode = True
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import layers
+tracer = layers.Tracer(timing=True)
+layers.install(tracer)
+import batch
+answer = batch.AnswerPaths(trials=2_000).op(0)
+names = [span[0] for span in tracer.spans]
+print(json.dumps({{
+    "spans": {{name: names.count(name) for name in set(names)}},
+    "counts": dict(tracer.counts),
+    "rows": len(answer["table"]),
+}}))
+"""
+
+
+def test_traced_answer_paths_op_records_every_layer():
+    record = _run_traced(ANSWER_PATHS_SCRIPT)
+    spans, counts = record["spans"], record["counts"]
+    assert {
+        "montecarlo.sweep",
+        "kernels.reduce",
+        "analytic.env_build",
+        "analytic.tables",
+        "analytic.query",
+        "core.sla",
+    } <= set(spans)
+    assert record["rows"] > 0
+    assert counts["kernels.calls"] == spans["kernels.reduce"] > 0
+    assert counts["analytic.env_builds"] == spans["analytic.env_build"] > 0
+    assert counts["montecarlo.trials_run"] > 0

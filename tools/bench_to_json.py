@@ -5,8 +5,9 @@ The slow suite (``pytest -m slow benchmarks/``) *asserts* the repository's
 performance claims but leaves no machine-readable trace; this emitter runs
 the same measurement bodies (the ``measure_*`` functions shared with
 ``benchmarks/test_bench_engine.py``) and writes one JSON document so the
-perf trajectory — cold ``import repro``, shared-sample speedup,
-multiprocess scaling, simulator throughput — can be tracked across PRs and compared between machines.
+perf trajectory — cold ``import repro``, shared-sample speedup, the
+reduction against sorting, multiprocess scaling, simulator throughput — can
+be tracked across PRs and compared between machines.
 
 Usage::
 
@@ -122,6 +123,9 @@ def run_benchmarks(quick: bool = False) -> dict:
 
     print(f"engine vs per-config loop ({bench.TRIALS} trials) ...", flush=True)
     benchmarks["engine_vs_per_config_loop"] = bench.measure_engine_vs_per_config_loop()
+
+    print(f"reduction vs sort, N = 1..10 ({bench.SAMPLE_BLOCK} trials) ...", flush=True)
+    benchmarks["reduction_vs_sort"] = bench.measure_reduction_vs_sort()
 
     if cpu_count >= 4:
         print("serial vs 4-worker sharding ...", flush=True)

@@ -6,7 +6,9 @@ keeps that promise honest.  It extracts every ```python fenced block from
 the documentation files and executes each block in its own namespace, with
 the repository's ``src`` layout importable.  Any exception (including a
 failing ``assert``) fails the run with the offending file, block index, and
-source line.
+source line.  A block's label (``README.md:block3``) is its file and its
+index there, so prose edits around a block leave its test id alone; the
+traceback of a failing block points at the markdown file's own lines.
 
 Used two ways:
 
@@ -40,7 +42,7 @@ class CodeBlock(NamedTuple):
 
     @property
     def label(self) -> str:
-        return f"{self.path}:block{self.index} (line {self.line})"
+        return f"{self.path}:block{self.index}"
 
 
 def iter_code_blocks(paths: tuple[str, ...] = DOC_FILES) -> Iterator[CodeBlock]:
@@ -61,7 +63,10 @@ def run_block(block: CodeBlock) -> None:
             import repro  # noqa: F401  (installed package takes precedence)
         except ImportError:
             sys.path.insert(0, source)
-    exec(compile(block.source, f"{block.path}#block{block.index}", "exec"), {})
+    # The source starts with the fence line's own newline; more newlines in
+    # front number the compiled lines as the markdown file does.
+    padded = "\n" * (block.line - 2) + block.source
+    exec(compile(padded, block.path, "exec"), {})
 
 
 def main() -> int:
@@ -75,7 +80,10 @@ def main() -> int:
             run_block(block)
         except Exception as error:  # noqa: BLE001 - report and keep going
             failures += 1
-            print(f"FAIL {block.label}: {type(error).__name__}: {error}", file=sys.stderr)
+            print(
+                f"FAIL {block.label} (line {block.line}): {type(error).__name__}: {error}",
+                file=sys.stderr,
+            )
         else:
             print(f"ok   {block.label}")
     if failures:
