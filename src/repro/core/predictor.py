@@ -64,10 +64,10 @@ class PBSReport:
     #: Write (commit) latency percentiles (ms) keyed by percentile.
     write_latency_ms: Mapping[float, float]
     #: Achieved t-visibility brackets keyed by target probability, set on
-    #: adaptive runs (``probe_resolution_ms``): the union-grid probe times
-    #: the crossing sits between, or ``None`` when the crossing lies beyond
-    #: the probe grid.  A fixed trial budget can end the run before the
-    #: requested resolution is met — compare the bracket width against it.
+    #: adaptive runs (``probe_resolution_ms``): the probe times the crossing
+    #: sits between, or ``None`` when the crossing lies beyond the probe
+    #: grid.  A bracket wider than the resolution means the crossing left
+    #: its pilot window, and that t-visibility is a histogram estimate.
     t_visibility_brackets: Mapping[float, tuple[float, float] | None] | None = None
     #: How the staleness/latency numbers were produced: ``"montecarlo"``
     #: (sweep-engine sampling), ``"analytic"`` (numerical convolution), or
@@ -285,12 +285,12 @@ class PBSPredictor:
         workers:
             Shard seeded chunks across processes without changing any number.
         probe_resolution_ms:
-            Enable adaptive probe-grid refinement: the engine probes the
-            coarse :data:`~repro.montecarlo.engine.DEFAULT_ADAPTIVE_GRID_MS`
-            base grid and refines around the report's 99% and 99.9%
-            t-visibility crossings, so both figures come from exact
-            bracketing counts at this resolution instead of the histogram
-            sketch.
+            Enable the adaptive probe grid: the engine probes the coarse
+            :data:`~repro.montecarlo.engine.DEFAULT_ADAPTIVE_GRID_MS` base
+            grid plus every multiple of this resolution across pilot windows
+            around the report's 99% and 99.9% t-visibility crossings, so
+            both figures come from exact bracketing counts at this
+            resolution instead of the histogram sketch.
         mode:
             ``"montecarlo"`` (default), ``"analytic"``, or ``"hybrid"``.
             The sweep-engine knobs (``chunk_size``, ``tolerance``,
@@ -341,9 +341,9 @@ class PBSPredictor:
             # early stopping from starving that tail of samples.
             min_trials=min_trials_for_quantile(0.999),
             workers=workers,
-            # The report quotes both the 99% and 99.9% crossings; adaptive
-            # refinement (when probe_resolution_ms is set) localises each
-            # independently over the engine's default coarse base grid.
+            # The report quotes both the 99% and 99.9% crossings; the
+            # adaptive grid (when probe_resolution_ms is set) resolves each
+            # over the engine's default coarse base grid.
             target_probability=(0.99, 0.999),
             probe_resolution_ms=probe_resolution_ms,
         )

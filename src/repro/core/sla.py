@@ -121,10 +121,10 @@ class SLAOptimizer:
         results are worker-count invariant, so sharding never changes which
         configuration wins.
     probe_resolution_ms:
-        Enable adaptive probe-grid refinement in every evaluation sweep: the
+        Enable the adaptive probe grid in every evaluation sweep: the
         engine probes the coarse
         :data:`~repro.montecarlo.engine.DEFAULT_ADAPTIVE_GRID_MS` base grid
-        and refines around each candidate's staleness-target crossing, so
+        plus fine probes around each candidate's staleness-target crossing, so
         ``t_visibility_ms`` is resolved to this many milliseconds from exact
         bracketing counts — the quantity the SLA verdict hinges on.
     analytic_predictor:
@@ -332,7 +332,7 @@ class SLAOptimizer:
                 min_trials_for_quantile(target.latency_percentile / 100.0),
             ),
             workers=self._workers,
-            # Refine around the staleness target the SLA verdict hinges on
+            # Resolve the staleness target the SLA verdict hinges on
             # (a no-op unless probe_resolution_ms enables the adaptive grid).
             target_probability=target.consistency_probability,
             probe_resolution_ms=self._probe_resolution_ms,

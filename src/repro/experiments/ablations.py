@@ -44,31 +44,17 @@ def _wars_predicted_t_visibility(
     reference column.  A fixed seed keeps the prediction independent of the
     cluster workload's random stream.  By default the prediction retains raw
     samples (exact order statistics); with ``probe_resolution_ms`` it streams
-    through the adaptive probe grid instead — bounded memory, crossing
-    bracketed to the requested resolution, and shardable across ``workers``.
+    the same trials through the adaptive probe grid instead — bounded memory,
+    crossing bracketed to the requested resolution, and shardable across
+    ``workers``.
     """
-    if probe_resolution_ms is not None:
-        from repro.montecarlo.engine import SAMPLE_BLOCK
-
-        # Refinement advances one subdivision round per few chunk
-        # boundaries, so the adaptive reference needs block-sized chunks and
-        # enough trials to complete its rounds — the ablations' small
-        # ``trials`` knob sizes the cluster workload, not this prediction.
-        engine = SweepEngine(
-            distributions,
-            (config,),
-            chunk_size=SAMPLE_BLOCK,
-            workers=workers,
-            target_probability=target,
-            probe_resolution_ms=probe_resolution_ms,
-        )
-        summary = engine.run(max(trials, 16 * SAMPLE_BLOCK), rng=0).results[0]
-        return summary.t_visibility(target)
     engine = SweepEngine(
         distributions,
         (config,),
-        keep_samples=True,
+        keep_samples=probe_resolution_ms is None,
         workers=workers,
+        target_probability=target,
+        probe_resolution_ms=probe_resolution_ms,
     )
     return engine.run(trials, rng=0).results[0].t_visibility(target)
 

@@ -48,8 +48,8 @@ def run_figure4(
     """Probability of consistency vs t for each W:ARS rate ratio in Figure 4.
 
     ``rng`` is forwarded to the sweep engine verbatim, so integer seeds give
-    chunk-size-invariant results.  ``probe_resolution_ms`` enables adaptive
-    probe-grid refinement around each ratio's 99.9% crossing, sharpening the
+    chunk-size-invariant results.  ``probe_resolution_ms`` enables the adaptive
+    probe grid around each ratio's 99.9% crossing, sharpening the
     ``t_visibility_99.9_ms`` column without densifying the figure's grid.
     """
     config = ReplicaConfig(n=3, r=1, w=1)

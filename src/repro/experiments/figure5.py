@@ -35,7 +35,7 @@ def run_figure5(
     (``pbs-repro run all``) but have no effect here: the engine runs serially
     whenever samples are retained (``keep_samples``), which this experiment
     needs for exact percentiles, and a pure latency-CDF experiment has no
-    t-visibility crossing for an adaptive grid to refine.
+    t-visibility crossing for an adaptive grid to resolve.
     """
     del probe_resolution_ms  # no probe grid in a latency-only sweep
     environments = {

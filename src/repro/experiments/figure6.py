@@ -38,7 +38,7 @@ def run_figure6(
 ) -> ExperimentResult:
     """Consistency-vs-t series for each production environment and partial quorum.
 
-    ``probe_resolution_ms`` enables adaptive refinement of each series'
+    ``probe_resolution_ms`` adds adaptive fine probes around each series'
     99.9% t-visibility crossing on top of the figure's fixed grid.
     """
     environments = {

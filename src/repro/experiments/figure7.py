@@ -34,7 +34,7 @@ def run_figure7(
 ) -> ExperimentResult:
     """Consistency-vs-t series for N in {2, 3, 5, 10} with R=W=1.
 
-    ``probe_resolution_ms`` enables adaptive refinement of each replication
+    ``probe_resolution_ms`` adds adaptive fine probes around each replication
     factor's 99.9% crossing — Section 5.7's claim is precisely that these
     crossings stay in a narrow band as N grows, so resolving them finely
     matters more than densifying the whole grid.

@@ -30,7 +30,7 @@ def run_sla_search(
     Each scenario's candidate set is evaluated against shared sample batches
     (one per replication factor) via the sweep engine; ``workers`` shards
     those sweeps across processes without changing which configuration wins.
-    ``probe_resolution_ms`` refines each candidate's t-visibility crossing —
+    ``probe_resolution_ms`` resolves each candidate's t-visibility crossing —
     the number every feasibility verdict hinges on — to that resolution.
     """
     scenarios = [

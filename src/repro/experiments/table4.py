@@ -45,7 +45,7 @@ def run_table4(
 ) -> ExperimentResult:
     """Reproduce the Table 4 grid for all four production environments.
 
-    ``probe_resolution_ms`` enables adaptive probe-grid refinement: the
+    ``probe_resolution_ms`` enables the adaptive probe grid: the
     headline ``t_visibility_99.9_ms`` column then comes from exact bracketing
     counts at that resolution instead of the threshold-histogram sketch.
     """

@@ -2,10 +2,11 @@
 
 The scenario registry (:mod:`repro.scenarios`) mutates clusters through the
 seams :class:`~repro.cluster.store.DynamoCluster` already exposes — dead
-links, lost messages, crashed nodes.  ROADMAP item 2 names the failure modes
-that seam cannot express: *gray failures*, where a replica is slow but alive,
-and *correlated bursts*, where latencies stop being i.i.d. and arrive in
-epochs.  A :class:`FaultPlan` describes those conditions declaratively:
+links, lost messages, crashed nodes.  Two failure modes lie outside those
+seams, because each changes how long a message takes rather than whether it
+arrives: *gray failures*, where a replica is slow but alive, and *correlated
+bursts*, where latencies stop being i.i.d. and arrive in epochs.  A
+:class:`FaultPlan` describes those conditions declaratively:
 
 * :class:`GrayFailure` — a per-node latency multiplier (plus optional tail
   inflation) active on a deterministic schedule, optionally periodic.

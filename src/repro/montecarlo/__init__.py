@@ -6,11 +6,8 @@ from repro.montecarlo.convergence import (
     wilson_interval,
 )
 from repro.montecarlo.engine import (
-    DEFAULT_ADAPTIVE_CHUNK_SIZE,
     DEFAULT_ADAPTIVE_GRID_MS,
     DEFAULT_CHUNK_SIZE,
-    REFINE_ACTIVATION_LAG,
-    REFINE_SUBDIVISIONS,
     SAMPLE_BLOCK,
     ConfigSweepResult,
     StreamingHistogram,
@@ -35,11 +32,8 @@ __all__ = [
     "ProbabilityEstimate",
     "trials_for_margin",
     "wilson_interval",
-    "DEFAULT_ADAPTIVE_CHUNK_SIZE",
     "DEFAULT_ADAPTIVE_GRID_MS",
     "DEFAULT_CHUNK_SIZE",
-    "REFINE_ACTIVATION_LAG",
-    "REFINE_SUBDIVISIONS",
     "SAMPLE_BLOCK",
     "ConfigSweepResult",
     "StreamingHistogram",

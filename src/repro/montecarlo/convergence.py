@@ -15,7 +15,7 @@ from scipy.special import ndtri
 
 from repro.exceptions import AnalysisError
 
-__all__ = ["ProbabilityEstimate", "wilson_interval", "trials_for_margin"]
+__all__ = ["ProbabilityEstimate", "wilson_interval", "wilson_bounds", "trials_for_margin"]
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,28 @@ def wilson_interval(
 
     z = float(ndtri(1.0 - (1.0 - confidence) / 2.0))
     p_hat = successes / trials
+    lower, upper = wilson_bounds(p_hat, trials, z)
+    return ProbabilityEstimate(
+        probability=p_hat,
+        lower=lower,
+        upper=upper,
+        trials=trials,
+        confidence=confidence,
+    )
+
+
+def wilson_bounds(p_hat: float, trials: int, z: float) -> tuple[float, float]:
+    """``(lower, upper)`` of the Wilson score interval around ``p_hat`` at ``z``.
+
+    The arithmetic behind :func:`wilson_interval`, for callers that hold a
+    proportion rather than a count, or a z-score rather than a confidence.
+    """
     denominator = 1.0 + z**2 / trials
     centre = (p_hat + z**2 / (2 * trials)) / denominator
     half_width = (
         z * sqrt(p_hat * (1.0 - p_hat) / trials + z**2 / (4 * trials**2)) / denominator
     )
-    return ProbabilityEstimate(
-        probability=p_hat,
-        lower=max(0.0, centre - half_width),
-        upper=min(1.0, centre + half_width),
-        trials=trials,
-        confidence=confidence,
-    )
+    return max(0.0, centre - half_width), min(1.0, centre + half_width)
 
 
 def trials_for_margin(

@@ -73,9 +73,9 @@ pool.  Correctness rests on two properties:
   :class:`StreamingHistogram` sketches merge by bin-wise count addition —
   *provided the bin layouts match*.  Layouts are frozen from the first batch
   of values, which is order-dependent, so the coordinator processes the first
-  chunk inline (freezing every layout exactly as a serial run would), then
-  hands workers empty accumulators spawned from the frozen layouts
-  (:meth:`StreamingHistogram.spawn_empty`).  ``merge(other)`` refuses
+  chunk inline (freezing every layout, and every adaptive probe grid, exactly
+  as a serial run would), then hands workers empty accumulators spawned from
+  them (:meth:`_ConfigAccumulator.spawn_empty`).  ``merge(other)`` refuses
   mismatched layouts rather than approximating.
 
 The coordinator merges worker partials strictly in block order and applies
@@ -90,53 +90,48 @@ a ``numpy.random.Generator`` (the stream is inherently sequential) and
 ``keep_samples=True`` (shipping the raw per-trial arrays between processes
 would cost more than the sampling).
 
-Adaptive probe-grid refinement
-------------------------------
-The fixed probe grid buys precision near the t-visibility target by paying
-for dense probes *everywhere*: every probe's Wilson interval must meet the
-early-stopping tolerance, so probes far from the crossing — especially probes
-whose consistency probability sits near 0.5, where the interval is widest —
-dominate the trial budget.  With ``probe_resolution_ms`` (and one or more
-``target_probability`` levels) set, the engine instead starts from the coarse
-``times_ms`` grid and refines it around each configuration's
-``t_visibility(target)`` crossing:
+Adaptive probe grid
+-------------------
+A fixed probe grid buys precision near the t-visibility target by paying for
+dense probes *everywhere*: every probe's Wilson interval must meet the
+early-stopping tolerance, so probes far from the crossing — especially the
+ones whose consistency probability sits near 0.5, where the interval is
+widest — set the trial budget.  With ``probe_resolution_ms`` (and one or
+more ``target_probability`` levels) set, each configuration instead freezes
+a probe grid from its first block of trials, the same block that freezes its
+histogram layouts: block 0 in seed mode, the first chunk in generator mode.
 
-* At every chunk boundary — the same place the early-stopping check already
-  inspects merged partials — the coordinator brackets each (configuration,
-  target) crossing on the probes observed so far and, while the bracket is
-  wider than ``probe_resolution_ms``, subdivides it into
-  :data:`REFINE_SUBDIVISIONS` equal spans (a two-level bisection per round).
-* Refined probes apply to *subsequent* chunks only, after a fixed activation
-  lag of :data:`REFINE_ACTIVATION_LAG` chunks.  A probe added at trial offset
-  ``T`` therefore carries an exact consistency count over the trials in
-  ``[T, end)`` — a *grid-versioned* count with its own ``trials_observed``
-  denominator — which is an unbiased estimate of the same probability the
-  base probes estimate over ``[0, end)``.
-* The final :class:`ConfigSweepResult` answers curve and t-visibility queries
-  by interpolating over the *union* grid (base probes plus refined probes,
-  each normalised by its own observation count), so the crossing is resolved
-  to ``probe_resolution_ms`` without densifying the whole grid.
+* Take that block's sorted thresholds ``x`` (``n`` of them) and the Wilson
+  interval ``[p_lo, p_hi]`` of the target ``p`` at ``n`` trials, at
+  :data:`PILOT_WINDOW_Z`.  The *pilot window* runs from
+  ``x[ceil(p_lo * n) - 1]``, the block's ``p_lo`` quantile, to
+  ``x[ceil(p_hi * n)]``, the threshold after its ``p_hi`` quantile (or
+  ``x[n - 1]`` when there is none).  It is clipped to
+  ``[0, last base probe]``; a window that ends at or below 0 adds nothing.
+* The grid is the base ``times_ms`` plus every multiple of
+  ``probe_resolution_ms`` across each target's window: one sorted array,
+  counted — the first block included — by the same ``searchsorted`` as a
+  fixed grid.
 
-Refinement decisions are made exclusively on merged partials at chunk
-boundaries, so they are a pure function of (seed, chunk size) and compose
-with multiprocess sharding unchanged: the sharded coordinator keeps at most
-``REFINE_ACTIVATION_LAG + 1`` speculative chunks in flight (each worker task
-carries the probe set active for its chunk), merges in block order, and makes
-the same decisions at the same boundaries as the serial loop — adaptive runs
-are bit-for-bit identical for any ``workers`` count.  The merge contract
-extends to the grid-versioned counts: worker partials accumulate refined
-probes from their task's probe set, and ``merge`` adds counts and observation
-totals key-wise, exactly.
+So every probe counts every trial, and an adaptive sweep is a fixed-grid
+sweep whose grid its first block chose.  The merge contract, serial ≡
+sharded and, in seed mode, chunk-size invariance hold unchanged: workers
+receive the frozen grid with the frozen histogram layouts
+(:meth:`_ConfigAccumulator.spawn_empty`).
 
-Early stopping in adaptive mode keeps the fixed-grid Wilson guarantee where
-it matters and drops it where it does not: the sweep stops once (a) every
-*base* probe meets the tolerance, (b) every bracket has narrowed to
-``probe_resolution_ms``, and (c) the bracket endpoints — the probes the
-reported crossing actually rests on — meet the tolerance with their own
-observation counts.  Refined probes that fell out of the bracket during
-bisection have served their purpose and do not gate stopping; this is what
-lets an adaptive sweep converge in fewer trials than a fixed grid of equal
-resolution, whose worst probe (the one nearest p = 0.5) sets the budget.
+A crossing inside its window is bracketed by exact counts at most
+``probe_resolution_ms`` apart and interpolated there.  A crossing that left
+the window — the first block misjudged it — is answered from the threshold
+sketch, as in a non-adaptive sweep, and
+:meth:`ConfigSweepResult.t_visibility_bracket` reports the wide bracket.  The
+grid is never widened, because widening would bring back probes that count
+only part of the trials.
+
+Early stopping has one rule for every sweep: every probe meets the
+tolerance.  The fine probes sit where the probability is near the target, so
+their intervals are narrow, and an adaptive sweep stops when its coarse base
+probes do — sooner than a fixed grid of equal resolution, whose probe nearest
+``p = 0.5`` sets the budget.
 """
 
 from __future__ import annotations
@@ -145,7 +140,7 @@ import multiprocessing
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import ceil
+from math import ceil, floor
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -154,15 +149,15 @@ from repro.core.quorum import ReplicaConfig
 from repro.core.wars import WARSSampleBatch, WARSTrialResult, sample_wars_batch
 from repro.exceptions import AnalysisError, ConfigurationError
 from repro.latency.production import WARSDistributions
-from repro.montecarlo.convergence import ProbabilityEstimate, wilson_interval
+from repro.montecarlo.convergence import ProbabilityEstimate, wilson_bounds, wilson_interval
 
 __all__ = [
     "SAMPLE_BLOCK",
     "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_ADAPTIVE_CHUNK_SIZE",
     "DEFAULT_ADAPTIVE_GRID_MS",
-    "REFINE_ACTIVATION_LAG",
-    "REFINE_SUBDIVISIONS",
+    "PILOT_WINDOW_Z",
+    "RESOLUTION_RTOL",
+    "MAX_FINE_PROBES",
     "StreamingHistogram",
     "ConfigSweepResult",
     "SweepResult",
@@ -178,53 +173,86 @@ SAMPLE_BLOCK: int = 8_192
 #: Default chunk size (trials accumulated between convergence checks).
 DEFAULT_CHUNK_SIZE: int = 65_536
 
-#: Default chunk size for adaptive (``probe_resolution_ms``) sweeps.  Smaller
-#: than :data:`DEFAULT_CHUNK_SIZE` because refinement only advances at chunk
-#: boundaries: a refinement round needs ``REFINE_ACTIVATION_LAG + 1`` chunks
-#: to propose probes, observe them, and re-bracket, so the chunk size bounds
-#: how many bisection levels a trial budget can complete.
-DEFAULT_ADAPTIVE_CHUNK_SIZE: int = 2 * SAMPLE_BLOCK
-
-#: Chunks between a refinement decision and the first chunk that counts the
-#: new probes.  The lag is what lets refinement compose with multiprocess
-#: sharding: the grid for chunk ``j`` depends only on merged state through
-#: chunk ``j - 1 - lag``, so a sharded coordinator can keep ``lag + 1``
-#: speculative chunks in flight and still make — and apply — exactly the
-#: decisions the serial loop would.  Fixed (never derived from ``workers``)
-#: so that results are bit-for-bit identical for any worker count.
-REFINE_ACTIVATION_LAG: int = 2
-
-#: Spans a refinement round splits each too-wide bracket into (3 new probes
-#: per round — a two-level bisection, so each round narrows the bracket 4x
-#: instead of 2x at negligible counting cost).
-REFINE_SUBDIVISIONS: int = 4
-
 #: A generic coarse base grid (ms) for adaptive sweeps whose callers have no
 #: natural probe grid of their own (Table 4 style t-visibility tables, the
 #: SLA search, prediction reports).  Geometric spacing covers the paper's
 #: production environments — LNKD-SSD resolves within single-digit
-#: milliseconds while YMMR needs beyond a second — and adaptive refinement
+#: milliseconds while YMMR needs beyond a second — and the pilot window
 #: supplies the precision near the crossing that this grid deliberately
 #: does not.
 DEFAULT_ADAPTIVE_GRID_MS: tuple[float, ...] = (
     0.0, 0.5, 2.0, 8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0,
 )
 
+#: Wilson z-score of the pilot window around each target crossing (module
+#: docstring, "Adaptive probe grid").  Over seeds 1000-1099 of the four
+#: production fits, the nine N=3 configurations and targets 0.99 and 0.999,
+#: all 1,951 non-zero crossings of 100,000-trial sweeps fell inside their
+#: z = 5 windows; at z = 4 two WAN crossings at 0.999 fell outside.
+PILOT_WINDOW_Z: float = 5.0
+
+#: Relative slack on "at most ``probe_resolution_ms`` apart": consecutive
+#: multiples of a resolution such as 0.1 ms can differ by a rounding error
+#: more than the resolution itself.
+RESOLUTION_RTOL: float = 1e-9
+
+#: Most fine probes one pilot window may add.  A window can span the whole
+#: base grid, so a resolution finer than ``last base probe / MAX_FINE_PROBES``
+#: is rejected up front rather than allocating a grid that size.
+MAX_FINE_PROBES: int = 2**18
+
+
+def _pilot_grid(
+    thresholds: np.ndarray,
+    base_times: np.ndarray,
+    targets: tuple[float, ...],
+    resolution_ms: float,
+) -> np.ndarray:
+    """``base_times`` plus every multiple of ``resolution_ms`` across each
+    target's pilot window on the sorted ``thresholds``, as one sorted array.
+
+    The window's upper end is one threshold past the ``p_hi`` quantile
+    because the crossing lies below the next threshold, and because Wilson
+    undercovers the few trials a 99.9% tail leaves in one block: ending at
+    the quantile itself missed 2 of the 1,951 crossings above.
+    """
+    n = thresholds.size
+    last = base_times[-1]
+    grids = [base_times]
+    for target in targets:
+        p_low, p_high = wilson_bounds(target, n, PILOT_WINDOW_Z)
+        low = max(float(thresholds[max(ceil(p_low * n) - 1, 0)]), 0.0)
+        high = min(float(thresholds[min(ceil(p_high * n), n - 1)]), last)
+        if high <= 0.0 or low > high:
+            continue
+        steps = np.arange(floor(low / resolution_ms), ceil(high / resolution_ms) + 1)
+        fine = steps * resolution_ms
+        grids.append(fine[fine <= last])
+    return np.unique(np.concatenate(grids))
+
 
 def _first_crossing_index(probabilities: np.ndarray, target: float) -> int | None:
     """Index of the first probe estimate at or above ``target``, or ``None``.
 
-    The one definition of "the crossing" shared by refinement decisions
-    (:meth:`_RefinementPlan._bracket`), the reported t-visibility
-    (:meth:`ConfigSweepResult._grid_t_visibility`), and the honesty check
-    (:meth:`ConfigSweepResult.t_visibility_bracket`) — they must agree on
-    which probes bracket the target or the stop gate and the reported
-    numbers desynchronise.
+    The one definition of "the crossing" shared by the reported t-visibility
+    (:meth:`ConfigSweepResult.t_visibility`) and the honesty check
+    (:meth:`ConfigSweepResult.t_visibility_bracket`), so the bracket reported
+    is the one the answer was interpolated in.
     """
     reached = np.nonzero(probabilities >= target)[0]
     if reached.size == 0:
         return None
     return int(reached[0])
+
+
+def _widest_margin(counts: np.ndarray, trials: int, confidence: float) -> float:
+    """Largest Wilson half-width over the probe ``counts`` out of ``trials``.
+
+    The half-width grows with ``p(1 - p)``, so it is the half-width of the
+    count nearest ``trials / 2``: one interval, not one per probe.
+    """
+    nearest = counts[np.argmin(np.abs(2 * counts - trials))]
+    return wilson_interval(int(nearest), trials, confidence).margin
 
 
 def min_trials_for_quantile(quantile: float, tail_samples: int = 100) -> int:
@@ -475,13 +503,9 @@ class ConfigSweepResult:
     with ``keep_samples=True``, :meth:`as_trial_result` exposes the raw
     per-trial arrays as a :class:`~repro.core.wars.WARSTrialResult`.
 
-    Adaptive sweeps additionally carry *refined* probes: times added at chunk
-    boundaries to localise the t-visibility crossing.  A refined probe's
-    count covers only the trials accumulated after its activation, so its
-    probability estimate is ``refined_counts[i] / refined_trials[i]`` — an
-    unbiased estimate over its own observation window.  Curve and
-    t-visibility queries interpolate over the union of base and refined
-    probes (:meth:`probe_grid`).
+    On an adaptive sweep ``times_ms`` is the configuration's frozen probe
+    grid — the base times plus the fine probes across its pilot windows — and
+    every probe's count covers all ``trials``.
     """
 
     config: ReplicaConfig
@@ -496,73 +520,48 @@ class ConfigSweepResult:
     _read_histogram: StreamingHistogram = field(repr=False)
     _write_histogram: StreamingHistogram = field(repr=False)
     _samples: WARSTrialResult | None = field(repr=False, default=None)
-    #: Adaptive refinement probes (sorted by time), their exact consistency
-    #: counts, and the number of trials each probe observed.
-    refined_times_ms: tuple[float, ...] = ()
-    refined_counts: tuple[int, ...] = ()
-    refined_trials: tuple[int, ...] = ()
-    #: The engine's ``probe_resolution_ms`` knob (``None`` when adaptive
-    #: refinement was off).  Adaptive t-visibility queries invert the probe
-    #: grid even when no refined probes were grown — a base grid that
-    #: already meets the resolution is still an exact-count bracket.
+    #: The engine's ``probe_resolution_ms`` knob (``None`` on non-adaptive
+    #: sweeps).  An adaptive t-visibility query inverts the probe grid when
+    #: the crossing's bracket is at most this wide.
     probe_resolution_ms: float | None = None
 
     @cached_property
-    def _union_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(times, probabilities)`` over base + refined probes, time-sorted.
+    def _curve(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(times, probabilities)`` at the probes, as arrays.
 
-        Base probes are normalised by the full trial count, refined probes by
-        their own observation counts.  Cached: the result is frozen, and the
-        experiment runners query the curve once per probe time per config.
+        Cached: the result is frozen, and the experiment runners query the
+        curve once per probe time per configuration.
         """
         times = np.asarray(self.times_ms, dtype=float)
-        probabilities = np.asarray(self.consistent_counts, dtype=float) / self.trials
-        if self.refined_times_ms:
-            refined_p = np.asarray(self.refined_counts, dtype=float) / np.asarray(
-                self.refined_trials, dtype=float
-            )
-            times = np.concatenate([times, np.asarray(self.refined_times_ms)])
-            probabilities = np.concatenate([probabilities, refined_p])
-            order = np.argsort(times, kind="stable")
-            times, probabilities = times[order], probabilities[order]
-        return times, probabilities
+        return times, np.asarray(self.consistent_counts, dtype=float) / self.trials
 
     def probe_grid(self) -> list[tuple[float, float]]:
-        """``(t, P(consistent at t))`` at every probe, base and refined.
-
-        The union grid adaptive queries interpolate over; without adaptive
-        refinement this is simply the base probe grid.
-
-        Returns
-        -------
-        list of ``(t_ms, probability)`` pairs sorted by time.
-        """
-        times, probabilities = self._union_grid
+        """``(t, P(consistent at t))`` at every probe, sorted by time."""
+        times, probabilities = self._curve
         return [(float(t), float(p)) for t, p in zip(times, probabilities)]
 
     def consistency_probability(self, t_ms: float) -> float:
         """P(consistent read at ``t_ms`` after commit): exact at probe times.
 
-        Probe times use the exact streaming counts (refined probes are
-        normalised by their own observation counts); times between probes are
-        linearly interpolated over the union grid.  Times beyond the last
-        probe raise — unlike the exact-for-any-t
-        :meth:`WARSTrialResult.consistency_probability`, a streaming summary
-        has no information past its probe grid, and silently clamping to the
-        last probe's value would understate the curve.
+        Probe times use the exact streaming counts; times between probes are
+        linearly interpolated.  Times beyond the last probe raise — unlike
+        the exact-for-any-t :meth:`WARSTrialResult.consistency_probability`,
+        a streaming summary has no information past its probe grid, and
+        silently clamping to the last probe's value would understate the
+        curve.
         """
         if t_ms < 0:
             raise ConfigurationError(f"time since commit must be non-negative, got {t_ms}")
         if t_ms == 0.0:
             return self.probability_never_stale()
-        times, probabilities = self._union_grid
+        times, probabilities = self._curve
         if t_ms > times[-1]:
             raise ConfigurationError(
                 f"t={t_ms} lies beyond configuration {self.config.label()}'s "
                 f"probe grid (max probe {times[-1]} ms); widen the engine's "
-                "times_ms to cover it (adaptive probe_resolution_ms "
-                "refinement only subdivides within the grid span, so it "
-                "cannot reach past the last base probe)"
+                "times_ms to cover it (adaptive probe_resolution_ms probes "
+                "stay within the grid span, so they cannot reach past the "
+                "last base probe)"
             )
         index = np.searchsorted(times, t_ms)
         if index < times.size and times[index] == t_ms:
@@ -572,9 +571,9 @@ class ConfigSweepResult:
     def consistency_curve(self, times_ms: Sequence[float] | None = None) -> list[tuple[float, float]]:
         """``(t, P(consistent at t))`` pairs (defaults to the full probe grid).
 
-        With no argument the curve covers every probe, refined ones included
-        (:meth:`probe_grid`) — on an adaptive sweep that is where the detail
-        near the crossing lives.  Pass explicit times to sample elsewhere.
+        With no argument the curve covers every probe (:meth:`probe_grid`) —
+        on an adaptive sweep that includes the fine probes near each
+        crossing.  Pass explicit times to sample elsewhere.
         """
         if times_ms is None:
             return self.probe_grid()
@@ -585,11 +584,7 @@ class ConfigSweepResult:
         return self.nonpositive_thresholds / self.trials
 
     def estimate_at(self, t_ms: float, confidence: float | None = None) -> ProbabilityEstimate:
-        """Wilson interval for the consistency probability at a probe time.
-
-        Works for base and refined probes alike; a refined probe's interval
-        uses its own observation count as the denominator.
-        """
+        """Wilson interval for the consistency probability at a probe time."""
         times = np.asarray(self.times_ms)
         index = np.searchsorted(times, t_ms)
         if index < times.size and times[index] == t_ms:
@@ -598,42 +593,29 @@ class ConfigSweepResult:
                 self.trials,
                 confidence if confidence is not None else self.confidence,
             )
-        if t_ms in self.refined_times_ms:
-            refined_index = self.refined_times_ms.index(t_ms)
-            return wilson_interval(
-                self.refined_counts[refined_index],
-                self.refined_trials[refined_index],
-                confidence if confidence is not None else self.confidence,
-            )
         raise ConfigurationError(
-            f"t={t_ms} is not one of this sweep's probe times {self.times_ms}"
-            + (f" or refined probes {self.refined_times_ms}" if self.refined_times_ms else "")
+            f"t={t_ms} is not one of this sweep's {len(self.times_ms)} probe times "
+            f"(from {self.times_ms[0]} to {self.times_ms[-1]} ms)"
         )
 
     def max_margin(self, confidence: float | None = None) -> float:
-        """Largest Wilson half-width across the *base* probe times.
-
-        Refined probes are deliberately excluded: they exist to localise the
-        crossing, carry their own (smaller) observation counts, and — once
-        bisection moves past them — no longer inform any reported number.
-        The engine's adaptive early-stopping gate separately bounds the
-        margins of the probes that *do* matter, the bracket endpoints.
-        """
-        return max(
-            self.estimate_at(t, confidence).margin for t in self.times_ms
+        """Largest Wilson half-width across the probe times."""
+        return _widest_margin(
+            np.asarray(self.consistent_counts, dtype=np.int64),
+            self.trials,
+            confidence if confidence is not None else self.confidence,
         )
 
     def t_visibility(self, target_probability: float) -> float:
         """Smallest ``t`` (ms) reaching the target probability of consistency.
 
         Strict quorums (whose thresholds are all non-positive) report exactly
-        0.0 via the exact non-positive count.  Adaptive sweeps invert the
-        union probe grid — interpolating between the exact counts bracketing
-        the crossing, so the answer is resolved to ``probe_resolution_ms`` —
-        and fall back to the threshold-histogram sketch only when the
-        crossing lies beyond the grid.  Non-adaptive streaming sweeps invert
-        the sketch; ``keep_samples=True`` sweeps use the exact per-trial
-        order statistics.
+        0.0 via the exact non-positive count.  ``keep_samples=True`` sweeps
+        use the exact per-trial order statistics.  Adaptive sweeps whose
+        crossing is bracketed to ``probe_resolution_ms`` interpolate between
+        the exact counts at the bracket's ends.  Otherwise — a non-adaptive
+        sweep, or a crossing that left its pilot window — the answer is
+        inverted from the threshold-histogram sketch.
         """
         if not 0.0 < target_probability <= 1.0:
             raise ConfigurationError(
@@ -644,22 +626,28 @@ class ConfigSweepResult:
             return 0.0
         if self._samples is not None:
             return self._samples.t_visibility(target_probability)
-        if self.probe_resolution_ms is not None or self.refined_times_ms:
-            crossing = self._grid_t_visibility(target_probability)
-            if crossing is not None:
-                return crossing
+        if self.probe_resolution_ms is not None:
+            times, probabilities = self._curve
+            index = _first_crossing_index(probabilities, target_probability)
+            if index == 0:
+                return float(times[0])
+            if index is not None and times[index] - times[index - 1] <= (
+                self.probe_resolution_ms * (1.0 + RESOLUTION_RTOL)
+            ):
+                t_low, t_high = float(times[index - 1]), float(times[index])
+                p_low, p_high = float(probabilities[index - 1]), float(probabilities[index])
+                fraction = (target_probability - p_low) / (p_high - p_low)
+                return t_low + fraction * (t_high - t_low)
         return float(max(self._threshold_histogram.quantile(target_probability), 0.0))
 
     def t_visibility_bracket(self, target_probability: float) -> tuple[float, float] | None:
-        """The union-grid probe times bracketing the target crossing.
+        """The probe times bracketing the target crossing.
 
-        The honesty check for adaptive sweeps: a fixed trial budget can end
-        the run before refinement narrows every bracket to
-        ``probe_resolution_ms``, and a crossing beyond the base grid span is
-        never bracketed at all — in both cases :meth:`t_visibility` still
-        answers (interpolating the wide bracket, or falling back to the
-        threshold-histogram sketch) without any indication.  Compare this
-        bracket's width against the resolution you asked for.
+        The honesty check for adaptive sweeps: a crossing that left its pilot
+        window is bracketed only by coarser probes, or not at all beyond the
+        grid span, and :meth:`t_visibility` then answers from the threshold
+        sketch.  Compare this bracket's width against the resolution you
+        asked for.
 
         Returns
         -------
@@ -680,28 +668,13 @@ class ConfigSweepResult:
             )
         if ceil(target_probability * self.trials) <= self.nonpositive_thresholds:
             return (0.0, 0.0)
-        times, probabilities = self._union_grid
+        times, probabilities = self._curve
         index = _first_crossing_index(probabilities, target_probability)
         if index is None:
             return None
         if index == 0:
             return (float(times[0]), float(times[0]))
         return (float(times[index - 1]), float(times[index]))
-
-    def _grid_t_visibility(self, target_probability: float) -> float | None:
-        """Invert the union probe grid, or ``None`` if it never reaches the target."""
-        times, probabilities = self._union_grid
-        index = _first_crossing_index(probabilities, target_probability)
-        if index is None:
-            return None
-        if index == 0:
-            return float(times[0])
-        t_low, t_high = float(times[index - 1]), float(times[index])
-        p_low, p_high = float(probabilities[index - 1]), float(probabilities[index])
-        if p_high <= p_low:
-            return t_high
-        fraction = (target_probability - p_low) / (p_high - p_low)
-        return t_low + fraction * (t_high - t_low)
 
     def read_latency_percentile(self, percentile: float) -> float:
         """Read operation latency (ms) at the given percentile.
@@ -759,7 +732,7 @@ class SweepResult:
     confidence: float
     #: The engine's ``workers`` knob (informational; results never depend on it).
     workers: int = 1
-    #: Adaptive refinement knobs the sweep ran with (``None``/empty when off).
+    #: Adaptive probe-grid knobs the sweep ran with (``None``/empty when off).
     probe_resolution_ms: float | None = None
     target_probabilities: tuple[float, ...] = ()
 
@@ -770,29 +743,8 @@ class SweepResult:
 
     @property
     def converged(self) -> bool:
-        """True when every configuration meets the tolerance at every probe
-        that informs a reported number.
-
-        Base probes always count.  On adaptive sweeps the bracket endpoints
-        around each target crossing count too, with their own observation
-        totals — a budget-exhausted run whose freshly activated endpoint is
-        still statistically loose must not claim convergence, mirroring the
-        engine's early-stop gate.
-        """
-        if self.tolerance is None:
-            return False
-        if self.max_margin() > self.tolerance:
-            return False
-        if self.probe_resolution_ms is not None:
-            for result in self.results:
-                for target in self.target_probabilities:
-                    bracket = result.t_visibility_bracket(target)
-                    if bracket is None or bracket[0] == bracket[1]:
-                        continue
-                    for endpoint in bracket:
-                        if result.estimate_at(endpoint).margin > self.tolerance:
-                            return False
-        return True
+        """True when every configuration meets the tolerance at every probe."""
+        return self.tolerance is not None and self.max_margin() <= self.tolerance
 
     def max_margin(self) -> float:
         """Largest Wilson half-width across all configurations and probe times."""
@@ -819,14 +771,12 @@ class _ConfigAccumulator:
     and sketches into this one exactly (integer addition plus histogram
     merges), so shard-parallel accumulation followed by in-order merging is
     bit-for-bit identical to a single sequential accumulation over the same
-    trials.  Shards must share frozen histogram layouts — spawn them from a
-    primed accumulator via :meth:`spawn_empty`.
+    trials.  Shards must share frozen histogram layouts and probe grids —
+    spawn them from a primed accumulator via :meth:`spawn_empty`.
 
-    Adaptive refinement adds *grid-versioned* probes via :meth:`add_probes`:
-    each refined probe tracks ``[consistent_count, trials_observed]`` from
-    the moment it was added, and merging adds both components key-wise, so a
-    probe's estimate is always an exact count over the trials that actually
-    observed it — regardless of which process accumulated them.
+    Given ``pilot`` — ``(targets, resolution_ms)`` of an adaptive sweep —
+    the first :meth:`update` freezes the probe grid from its block before
+    counting it (module docstring, "Adaptive probe grid").
     """
 
     def __init__(
@@ -835,6 +785,7 @@ class _ConfigAccumulator:
         times_ms: np.ndarray,
         histogram_bins: int,
         keep_samples: bool,
+        pilot: tuple[tuple[float, ...], float] | None = None,
     ) -> None:
         self.config = config
         self.times_ms = times_ms
@@ -848,69 +799,29 @@ class _ConfigAccumulator:
         self.threshold_histogram = StreamingHistogram(histogram_bins)
         self.read_histogram = StreamingHistogram(histogram_bins, log_scale=True)
         self.write_histogram = StreamingHistogram(histogram_bins, log_scale=True)
-        #: time -> [consistent_count, trials_observed], insertion-ordered.
-        self.refined_probes: dict[float, list[int]] = {}
-        #: Base probe times, then refined ones: what one update counts.
-        self._probe_times = times_ms
+        #: Cleared once the probe grid is frozen.
+        self._pilot = pilot
         self._kept: list[WARSTrialResult] | None = [] if keep_samples else None
 
     def spawn_empty(self) -> "_ConfigAccumulator":
-        """An empty accumulator sharing this one's frozen histogram layouts.
+        """An empty accumulator sharing this one's probe grid and histogram layouts.
 
-        Worker shards accumulate into spawned clones so their sketches bin
-        values identically to the coordinator's and merge without error.
+        Worker shards accumulate into spawned clones so their counts and
+        sketches line up with the coordinator's and merge without error.
         Spawned accumulators never retain raw samples (sharded runs are
         streaming-only).
         """
         clone = _ConfigAccumulator(
-            self.config, self.times_ms, self.histogram_bins, keep_samples=False
+            self.config,
+            self.times_ms,
+            self.histogram_bins,
+            keep_samples=False,
+            pilot=self._pilot,
         )
         clone.threshold_histogram = self.threshold_histogram.spawn_empty()
         clone.read_histogram = self.read_histogram.spawn_empty()
         clone.write_histogram = self.write_histogram.spawn_empty()
-        # Refined probes are deliberately not copied: worker tasks carry the
-        # probe set active for their chunk and add it via add_probes.
         return clone
-
-    def add_probes(self, times: Sequence[float]) -> None:
-        """Activate refined probes: exact counting starts with the next update.
-
-        Times already probed (base grid or previously added) are ignored, so
-        activation is idempotent.
-        """
-        base = set(float(t) for t in self.times_ms)
-        added = False
-        for time in times:
-            time = float(time)
-            if time in base or time in self.refined_probes:
-                continue
-            self.refined_probes[time] = [0, 0]
-            added = True
-        if added:
-            self._probe_times = np.concatenate((self.times_ms, list(self.refined_probes)))
-
-    def probe_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(times, counts, observed)`` over base + refined probes, time-sorted.
-
-        The coordinator's view for refinement decisions: base probes carry
-        the full trial count, refined probes their own observation counts.
-        Refined probes that have not yet observed a chunk are excluded (their
-        estimates would be 0/0).
-        """
-        times = [float(t) for t in self.times_ms]
-        counts = [int(c) for c in self.consistent_counts]
-        observed = [self.trials] * len(times)
-        for time, (count, seen) in self.refined_probes.items():
-            if seen > 0:
-                times.append(time)
-                counts.append(count)
-                observed.append(seen)
-        order = np.argsort(times, kind="stable")
-        return (
-            np.asarray(times, dtype=float)[order],
-            np.asarray(counts, dtype=np.int64)[order],
-            np.asarray(observed, dtype=np.int64)[order],
-        )
 
     def merge(self, other: "_ConfigAccumulator") -> None:
         """Fold another accumulator's state into this one, exactly.
@@ -936,16 +847,6 @@ class _ConfigAccumulator:
         self.threshold_histogram.merge(other.threshold_histogram)
         self.read_histogram.merge(other.read_histogram)
         self.write_histogram.merge(other.write_histogram)
-        # Grid-versioned refined probes merge key-wise: counts and observation
-        # totals add, and a probe unknown to one side is adopted with the other
-        # side's state — addition over (count, observed) pairs is associative
-        # and commutative, keeping the merge a monoid.
-        if other.refined_probes:
-            for time, (count, seen) in other.refined_probes.items():
-                entry = self.refined_probes.setdefault(time, [0, 0])
-                entry[0] += count
-                entry[1] += seen
-            self._probe_times = np.concatenate((self.times_ms, list(self.refined_probes)))
         if self._kept is not None and other._kept is not None:
             self._kept.extend(other._kept)
         elif (self._kept is None) != (other._kept is None) and other.trials:
@@ -969,14 +870,12 @@ class _ConfigAccumulator:
         histogram bins the same sorted array.
         """
         thresholds = np.sort(result.staleness_thresholds_ms)
-        size = thresholds.size
-        self.trials += size
-        counts = thresholds.searchsorted(self._probe_times, side="right")
-        base = self.times_ms.size
-        self.consistent_counts += counts[:base]
-        for entry, count in zip(self.refined_probes.values(), counts[base:]):
-            entry[0] += int(count)
-            entry[1] += size
+        if self._pilot is not None and thresholds.size:
+            self.times_ms = _pilot_grid(thresholds, self.times_ms, *self._pilot)
+            self.consistent_counts = np.zeros(self.times_ms.size, dtype=np.int64)
+            self._pilot = None
+        self.trials += thresholds.size
+        self.consistent_counts += thresholds.searchsorted(self.times_ms, side="right")
         self.nonpositive_thresholds += int(thresholds.searchsorted(0.0, side="right"))
         self.threshold_histogram._update_sorted(thresholds)
         self.read_histogram._update_sorted(reads_sorted)
@@ -985,12 +884,7 @@ class _ConfigAccumulator:
             self._kept.append(result)
 
     def max_margin(self, confidence: float) -> float:
-        # The probe grid always contains t=0 (SweepEngine injects it), so the
-        # counts array is never empty.
-        return max(
-            wilson_interval(int(count), self.trials, confidence).margin
-            for count in self.consistent_counts
-        )
+        return _widest_margin(self.consistent_counts, self.trials, confidence)
 
     def kept_results(self) -> list[WARSTrialResult]:
         return self._kept or []
@@ -1016,11 +910,6 @@ class _ConfigAccumulator:
                 ),
                 write_arrivals_ms=shared_arrivals,
             )
-        observed_refined = sorted(
-            (time, entry[0], entry[1])
-            for time, entry in self.refined_probes.items()
-            if entry[1] > 0
-        )
         return ConfigSweepResult(
             config=self.config,
             trials=self.trials,
@@ -1032,161 +921,8 @@ class _ConfigAccumulator:
             _read_histogram=self.read_histogram,
             _write_histogram=self.write_histogram,
             _samples=samples,
-            refined_times_ms=tuple(time for time, _, _ in observed_refined),
-            refined_counts=tuple(count for _, count, _ in observed_refined),
-            refined_trials=tuple(seen for _, _, seen in observed_refined),
             probe_resolution_ms=probe_resolution_ms,
         )
-
-
-class _RefinementPlan:
-    """Coordinator-side adaptive probe-grid state (module docstring, "Adaptive
-    probe-grid refinement").
-
-    The plan owns everything about refinement that is *not* a per-trial
-    count: which probe times have been decided, and at which chunk each
-    batch of probes activates.  Decisions are made exclusively from merged
-    accumulator state at chunk boundaries, so for a given (seed, chunk size)
-    the whole probe schedule is deterministic and identical for any worker
-    count.
-    """
-
-    __slots__ = ("targets", "resolution_ms", "_decided", "_pending")
-
-    def __init__(
-        self,
-        targets: tuple[float, ...],
-        resolution_ms: float,
-        base_times: np.ndarray,
-    ) -> None:
-        self.targets = targets
-        self.resolution_ms = resolution_ms
-        self._decided: set[float] = {float(t) for t in base_times}
-        #: ``(activation_chunk, times)`` batches, in decision order.
-        self._pending: list[tuple[int, tuple[float, ...]]] = []
-
-    def probes_for_chunk(self, chunk_index: int) -> tuple[float, ...]:
-        """All refined times active for ``chunk_index`` (worker task payload)."""
-        return tuple(
-            time
-            for activation, times in self._pending
-            if activation <= chunk_index
-            for time in times
-        )
-
-    def activate_due(self, chunk_index: int, accumulators: Sequence[_ConfigAccumulator]) -> None:
-        """Add every probe due by ``chunk_index`` to the coordinator state.
-
-        Idempotent (``add_probes`` skips known times), so it is safe to call
-        at every chunk boundary.
-        """
-        due = self.probes_for_chunk(chunk_index)
-        if due:
-            for accumulator in accumulators:
-                accumulator.add_probes(due)
-
-    @staticmethod
-    def probe_tables(
-        accumulators: Sequence[_ConfigAccumulator],
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """One :meth:`_ConfigAccumulator.probe_table` per accumulator.
-
-        Built once per chunk boundary and shared by the stop gate
-        (:meth:`complete`, :meth:`bracket_margin`) and :meth:`decide` — the
-        tables do not depend on the target, so rebuilding them per bracket
-        query would be pure repeated sorting.
-        """
-        return [accumulator.probe_table() for accumulator in accumulators]
-
-    def _bracket(
-        self, table: tuple[np.ndarray, np.ndarray, np.ndarray], target: float
-    ) -> tuple[float, float, int, int, int, int] | None:
-        """``(t_lo, t_hi, count_lo, n_lo, count_hi, n_hi)`` around the crossing.
-
-        ``None`` when there is nothing to refine: the curve reaches the
-        target at t = 0 (the crossing is exactly 0) or never reaches it on
-        the observed grid (the crossing lies beyond the grid span — no
-        bracket to bisect).
-        """
-        times, counts, observed = table
-        probabilities = counts / observed
-        index = _first_crossing_index(probabilities, target)
-        if index is None or index == 0:
-            return None
-        return (
-            float(times[index - 1]),
-            float(times[index]),
-            int(counts[index - 1]),
-            int(observed[index - 1]),
-            int(counts[index]),
-            int(observed[index]),
-        )
-
-    def decide(
-        self,
-        tables: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        boundary_chunk: int,
-    ) -> None:
-        """Propose subdivision probes for every too-wide bracket.
-
-        Called after the early-stopping check at chunk boundary
-        ``boundary_chunk``; new probes activate at chunk
-        ``boundary_chunk + 1 + REFINE_ACTIVATION_LAG``.
-        """
-        proposals: list[float] = []
-        for table in tables:
-            for target in self.targets:
-                bracket = self._bracket(table, target)
-                if bracket is None:
-                    continue
-                t_low, t_high = bracket[0], bracket[1]
-                if t_high - t_low <= self.resolution_ms:
-                    continue
-                step = (t_high - t_low) / REFINE_SUBDIVISIONS
-                for k in range(1, REFINE_SUBDIVISIONS):
-                    time = t_low + k * step
-                    if time not in self._decided:
-                        self._decided.add(time)
-                        proposals.append(time)
-        if proposals:
-            self._pending.append(
-                (boundary_chunk + 1 + REFINE_ACTIVATION_LAG, tuple(proposals))
-            )
-
-    def complete(
-        self, tables: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
-    ) -> bool:
-        """True once every (configuration, target) bracket is at resolution."""
-        for table in tables:
-            for target in self.targets:
-                bracket = self._bracket(table, target)
-                if bracket is not None and bracket[1] - bracket[0] > self.resolution_ms:
-                    return False
-        return True
-
-    def bracket_margin(
-        self,
-        tables: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        confidence: float,
-    ) -> float:
-        """Worst Wilson half-width over all bracket endpoints.
-
-        The probes the reported crossings rest on; the adaptive early-stop
-        gate requires this to meet the tolerance alongside the base grid.
-        """
-        worst = 0.0
-        for table in tables:
-            for target in self.targets:
-                bracket = self._bracket(table, target)
-                if bracket is None:
-                    continue
-                _, _, count_low, n_low, count_high, n_high = bracket
-                worst = max(
-                    worst,
-                    wilson_interval(count_low, n_low, confidence).margin,
-                    wilson_interval(count_high, n_high, confidence).margin,
-                )
-        return worst
 
 
 @dataclass(frozen=True)
@@ -1194,9 +930,9 @@ class _WorkerSpec:
     """Everything a worker process needs to sample and accumulate any chunk.
 
     Shipped once per worker via the pool initializer.  ``templates`` are
-    empty accumulators spawned from the coordinator's frozen histogram
-    layouts, so every shard bins values identically and partials merge
-    exactly.  The seed streams are re-derived in the worker from the root
+    empty accumulators spawned from the coordinator's frozen probe grids and
+    histogram layouts, so every shard counts and bins values identically and
+    partials merge exactly.  The seed streams are re-derived in the worker from the root
     entropy, keeping the task payload down to a ``(start, count)`` pair.
     """
 
@@ -1225,21 +961,13 @@ def _init_worker(spec: _WorkerSpec) -> None:
     _WORKER_STATE = (spec, block_seeds)
 
 
-def _worker_run_chunk(task: tuple[int, int, tuple[float, ...]]) -> list[_ConfigAccumulator]:
-    """Sample one chunk's blocks and return per-configuration partials.
-
-    ``task`` is ``(start, count, extra_probes)``: the adaptive refined probes
-    active for this chunk ride along in the payload, so the partial's
-    grid-versioned counts cover exactly the probes the serial loop would have
-    counted over the same trials.
-    """
+def _worker_run_chunk(task: tuple[int, int]) -> list[_ConfigAccumulator]:
+    """Sample one chunk's blocks, ``task = (start, count)``, and return
+    per-configuration partials."""
     assert _WORKER_STATE is not None, "worker task ran before the pool initializer"
     spec, block_seeds = _WORKER_STATE
-    start, count, extra_probes = task
+    start, count = task
     accumulators = [template.spawn_empty() for template in spec.templates]
-    if extra_probes:
-        for accumulator in accumulators:
-            accumulator.add_probes(extra_probes)
     _accumulate_seeded_span(
         spec.distributions,
         spec.configs,
@@ -1321,19 +1049,17 @@ class SweepEngine:
     times_ms:
         Probe times (ms since commit) at which exact consistency counts — and
         the early-stopping Wilson intervals — are maintained.  ``0.0`` is
-        always included.  With adaptive refinement this is the *base* grid:
-        deliberately coarse, refined around the t-visibility crossings.  An
-        adaptive sweep given no base grid beyond ``0.0`` falls back to
-        :data:`DEFAULT_ADAPTIVE_GRID_MS` (a crossing outside the grid span
-        cannot be bracketed).
+        always included.  On an adaptive sweep this is the *base* grid:
+        deliberately coarse, with fine probes added around the t-visibility
+        crossings.  An adaptive sweep given no base grid beyond ``0.0`` falls
+        back to :data:`DEFAULT_ADAPTIVE_GRID_MS` (a crossing outside the grid
+        span cannot be bracketed).
     chunk_size:
         Trials sampled per accumulation step; rounded up to a multiple of
         :data:`SAMPLE_BLOCK`.  Bounds peak memory at
-        ``O(chunk_size * max(N))``, sets the early-stopping (and adaptive
-        refinement) cadence, and is the unit of work farmed to worker
-        processes.  ``None`` selects :data:`DEFAULT_CHUNK_SIZE`, or the
-        smaller :data:`DEFAULT_ADAPTIVE_CHUNK_SIZE` when adaptive refinement
-        is on (refinement needs several chunk boundaries to converge).
+        ``O(chunk_size * max(N))``, sets the early-stopping cadence, and is
+        the unit of work farmed to worker processes.  ``None`` selects
+        :data:`DEFAULT_CHUNK_SIZE`.
     tolerance:
         Optional Wilson half-width target; when every configuration's interval
         at every probe time is at least this tight, the sweep stops early.
@@ -1359,21 +1085,21 @@ class SweepEngine:
         shard — sequential-generator mode, ``keep_samples=True``, or sweeps
         no larger than one chunk — silently execute serially.
     target_probability:
-        The consistency level(s) whose t-visibility crossing adaptive
-        refinement localises (a single probability or a sequence, e.g.
+        The consistency level(s) whose t-visibility crossing the adaptive
+        grid resolves (a single probability or a sequence, e.g.
         ``(0.99, 0.999)``).  Required when ``probe_resolution_ms`` is set;
         ignored otherwise.
     probe_resolution_ms:
-        Enables adaptive probe-grid refinement (module docstring): at chunk
-        boundaries the coordinator subdivides the bracket around each
-        (configuration, target) crossing until it is at most this wide.
-        Refinement decisions are made on merged partials only, so adaptive
-        results remain bit-for-bit identical for any ``workers`` count (for
-        a fixed seed and chunk size).  The resolution is a *goal*, not a
-        guarantee: a fixed trial budget can end the run mid-refinement (the
-        early-stopping gate, when a ``tolerance`` is set, does wait for it),
-        and a crossing beyond the base grid span is never bracketed — check
+        Enables the adaptive probe grid (module docstring): each
+        configuration adds a probe at every multiple of this resolution
+        across a pilot window around each target crossing, placed on its
+        first block of trials and frozen for the rest of the run.  A
+        crossing outside its window is not resolved — it is answered from
+        the threshold sketch — and a crossing beyond the base grid span is
+        never bracketed: check
         :meth:`ConfigSweepResult.t_visibility_bracket` for what was achieved.
+        A resolution that could put more than :data:`MAX_FINE_PROBES`
+        probes across the base grid's span is rejected.
     """
 
     def __init__(
@@ -1413,15 +1139,11 @@ class SweepEngine:
                 )
             if not targets:
                 raise ConfigurationError(
-                    "adaptive refinement (probe_resolution_ms) requires at least "
-                    "one target_probability to localise"
+                    "the adaptive probe grid (probe_resolution_ms) requires at "
+                    "least one target_probability to resolve"
                 )
         if chunk_size is None:
-            chunk_size = (
-                DEFAULT_ADAPTIVE_CHUNK_SIZE
-                if probe_resolution_ms is not None
-                else DEFAULT_CHUNK_SIZE
-            )
+            chunk_size = DEFAULT_CHUNK_SIZE
         if chunk_size < 1:
             raise ConfigurationError(f"chunk size must be >= 1, got {chunk_size}")
         if min_trials < 1:
@@ -1442,11 +1164,19 @@ class SweepEngine:
             # bracket a crossing; fall back to the generic coarse grid so
             # callers without a natural grid of their own just work.
             times = np.unique(np.asarray(DEFAULT_ADAPTIVE_GRID_MS, dtype=float))
+        if probe_resolution_ms is not None and times[-1] / probe_resolution_ms > MAX_FINE_PROBES:
+            raise ConfigurationError(
+                f"probe_resolution_ms={probe_resolution_ms:g} could place up to "
+                f"{times[-1] / probe_resolution_ms:.3g} probes across the "
+                f"{times[-1]:g} ms probe grid, more than {MAX_FINE_PROBES}; use a "
+                "coarser resolution or a shorter times_ms"
+            )
         self._distributions = distributions
         self._times_ms = times
         self._chunk_size = ceil(chunk_size / SAMPLE_BLOCK) * SAMPLE_BLOCK
         self._targets = targets
         self._probe_resolution_ms = probe_resolution_ms
+        self._pilot = (targets, probe_resolution_ms) if probe_resolution_ms is not None else None
         self._tolerance = tolerance
         self._min_trials = min_trials
         self._confidence = confidence
@@ -1476,7 +1206,7 @@ class SweepEngine:
 
         accumulators = [
             _ConfigAccumulator(
-                config, self._times_ms, self._histogram_bins, self._keep_samples
+                config, self._times_ms, self._histogram_bins, self._keep_samples, self._pilot
             )
             for config in self._configs
         ]
@@ -1500,11 +1230,6 @@ class SweepEngine:
                 for n, _ in self._groups
             }
 
-        plan = (
-            _RefinementPlan(self._targets, self._probe_resolution_ms, self._times_ms)
-            if self._probe_resolution_ms is not None
-            else None
-        )
         shardable = (
             self._workers > 1
             and sequential is None
@@ -1513,10 +1238,10 @@ class SweepEngine:
         )
         if shardable:
             processed = self._run_sharded(
-                trials, accumulators, block_seeds, root_entropy, total_blocks, plan
+                trials, accumulators, block_seeds, root_entropy, total_blocks
             )
         else:
-            processed = self._run_serial(trials, accumulators, sequential, block_seeds, plan)
+            processed = self._run_serial(trials, accumulators, sequential, block_seeds)
 
         # One shared write-arrivals matrix per replication factor: every
         # configuration in a group references the same per-batch arrays, so
@@ -1552,38 +1277,20 @@ class SweepEngine:
         )
 
     def _should_stop(
-        self,
-        accumulators: Sequence[_ConfigAccumulator],
-        processed: int,
-        trials: int,
-        plan: _RefinementPlan | None,
-        tables: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
+        self, accumulators: Sequence[_ConfigAccumulator], processed: int, trials: int
     ) -> bool:
         """The early-stopping decision, shared by serial and sharded runs.
 
         Evaluated after every accumulated chunk (never after the final one),
         so a sharded coordinator checking merged partials at each chunk
         boundary stops at exactly the trial count the serial loop would.
-        With adaptive refinement the gate additionally requires every bracket
-        to have narrowed to the probe resolution and its endpoints — the
-        probes the reported crossing rests on — to meet the tolerance with
-        their own observation counts.
         """
         if self._tolerance is None or processed >= trials or processed < self._min_trials:
             return False
-        if not all(
+        return all(
             accumulator.max_margin(self._confidence) <= self._tolerance
             for accumulator in accumulators
-        ):
-            return False
-        if plan is not None:
-            if tables is None:
-                tables = plan.probe_tables(accumulators)
-            if not plan.complete(tables):
-                return False
-            if plan.bracket_margin(tables, self._confidence) > self._tolerance:
-                return False
-        return True
+        )
 
     def _run_serial(
         self,
@@ -1591,13 +1298,9 @@ class SweepEngine:
         accumulators: list[_ConfigAccumulator],
         sequential: np.random.Generator | None,
         block_seeds: Mapping[int, list],
-        plan: _RefinementPlan | None,
     ) -> int:
         processed = 0
-        chunk_index = 0
         while processed < trials:
-            if plan is not None:
-                plan.activate_due(chunk_index, accumulators)
             count = min(self._chunk_size, trials - processed)
             if sequential is not None:
                 for n, config_indices in self._groups:
@@ -1614,12 +1317,8 @@ class SweepEngine:
                     count,
                 )
             processed += count
-            tables = plan.probe_tables(accumulators) if plan is not None else None
-            if self._should_stop(accumulators, processed, trials, plan, tables):
+            if self._should_stop(accumulators, processed, trials):
                 break
-            if plan is not None and processed < trials:
-                plan.decide(tables, chunk_index)
-            chunk_index += 1
         return processed
 
     def _run_sharded(
@@ -1629,11 +1328,11 @@ class SweepEngine:
         block_seeds: Mapping[int, list],
         root_entropy: object,
         total_blocks: int,
-        plan: _RefinementPlan | None,
     ) -> int:
         """Farm seed-mode chunks to a process pool and merge in block order."""
-        # First chunk inline: freezes every histogram's bin layout exactly as
-        # the serial loop would, providing the workers' template accumulators.
+        # First chunk inline: freezes every histogram layout and adaptive
+        # probe grid exactly as the serial loop would, providing the
+        # workers' template accumulators.
         count = min(self._chunk_size, trials)
         _accumulate_seeded_span(
             self._distributions,
@@ -1645,11 +1344,8 @@ class SweepEngine:
             count,
         )
         processed = count
-        tables = plan.probe_tables(accumulators) if plan is not None else None
-        if processed >= trials or self._should_stop(accumulators, processed, trials, plan, tables):
+        if processed >= trials or self._should_stop(accumulators, processed, trials):
             return processed
-        if plan is not None:
-            plan.decide(tables, 0)
 
         tasks = [
             (start, min(self._chunk_size, trials - start))
@@ -1663,14 +1359,10 @@ class SweepEngine:
             entropy=root_entropy,
             total_blocks=total_blocks,
         )
-        # An adaptive run may only speculate REFINE_ACTIVATION_LAG + 1 chunks
-        # past the merge frontier: chunk j's probe set depends on decisions
-        # through boundary j - 1 - lag, which require chunks through that
-        # index to be merged.  Without refinement every chunk's grid is known
-        # upfront, and two chunks per worker keep the pool busy while the
-        # coordinator merges.  Either way the window is small, because every
-        # speculative chunk is finished (and discarded) on an early stop.
-        window = 2 * self._workers if plan is None else REFINE_ACTIVATION_LAG + 1
+        # Two chunks per worker keep the pool busy while the coordinator
+        # merges, and keep the window small: every speculative chunk is
+        # finished (and discarded) on an early stop.
+        window = 2 * self._workers
         # Fork keeps pool start-up negligible where the platform offers it;
         # the worker entry points are module-level and the spec picklable, so
         # spawn works identically elsewhere.
@@ -1681,36 +1373,22 @@ class SweepEngine:
             initargs=(spec,),
         ) as pool:
             # Tasks are submitted in block order and merged in block order
-            # (a sliding window of async results), so the stopping and
-            # refinement decisions see exactly the serial loop's state at
-            # every chunk boundary.
+            # (a sliding window of async results), so the stopping decision
+            # sees exactly the serial loop's state at every chunk boundary.
             in_flight: deque = deque()
             next_task = 0
-            merged_chunks = 0  # merged worker chunks; inline chunk 0 excluded
             try:
                 while in_flight or next_task < len(tasks):
                     while next_task < len(tasks) and len(in_flight) < window:
-                        chunk_index = next_task + 1
-                        extra = () if plan is None else plan.probes_for_chunk(chunk_index)
-                        task = (*tasks[next_task], extra)
-                        in_flight.append(
-                            (tasks[next_task], pool.apply_async(_worker_run_chunk, (task,)))
-                        )
+                        task = tasks[next_task]
+                        in_flight.append((task, pool.apply_async(_worker_run_chunk, (task,))))
                         next_task += 1
                     (_, count), handle = in_flight.popleft()
-                    partials = handle.get()
-                    chunk_index = merged_chunks + 1
-                    if plan is not None:
-                        plan.activate_due(chunk_index, accumulators)
-                    for accumulator, partial in zip(accumulators, partials):
+                    for accumulator, partial in zip(accumulators, handle.get()):
                         accumulator.merge(partial)
-                    merged_chunks += 1
                     processed += count
-                    tables = plan.probe_tables(accumulators) if plan is not None else None
-                    if self._should_stop(accumulators, processed, trials, plan, tables):
+                    if self._should_stop(accumulators, processed, trials):
                         break
-                    if plan is not None and processed < trials:
-                        plan.decide(tables, chunk_index)
             finally:
                 # Let the speculative chunks finish before the context terminates
                 # the pool.  Pool.terminate() kills workers, and a worker killed

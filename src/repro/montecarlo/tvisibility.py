@@ -6,11 +6,12 @@ over a grid of times for a set of (R, W) configurations, or invert the curve
 to find the ``t`` achieving a target probability.
 
 All three entry points accept ``probe_resolution_ms`` to enable the engine's
-adaptive probe-grid refinement: the requested times become a coarse base grid
-and the engine grows probes around each configuration's
-``t_visibility(target_probability)`` crossing until it is bracketed to the
-requested resolution (see the "Adaptive probe-grid refinement" section of
-:mod:`repro.montecarlo.engine`).
+adaptive probe grid: the requested times become a coarse base grid, and each
+configuration adds a probe at every multiple of the resolution across a
+pilot window around its ``t_visibility(target_probability)`` crossing,
+placed on the first block of trials and then frozen (see the "Adaptive probe
+grid" section of :mod:`repro.montecarlo.engine`).  Every probe counts every
+trial.
 """
 
 from __future__ import annotations
@@ -41,16 +42,11 @@ class TVisibilityCurve:
     label:
         Human-readable series label (environment + configuration).
     times_ms / probabilities:
-        The curve's grid.  For adaptive sweeps this is the *union* grid —
-        the requested base times plus every refined probe the engine grew
+        The curve's grid.  For adaptive sweeps this is the configuration's
+        frozen probe grid — the requested base times plus the fine probes
         around the crossing.
     trials:
-        Monte Carlo trials behind the estimates.
-    probe_trials:
-        Per-probe observation counts, set on adaptive curves: refined probes
-        only observe the trials after their activation, so their estimates
-        rest on fewer trials than the base probes'.  ``None`` (non-adaptive
-        curves) means every probe saw all ``trials``.
+        Monte Carlo trials behind every estimate.
     probe_successes:
         Exact per-probe consistent-trial counts, when the producer carried
         them through (all the shipped front-ends do).  ``None`` on curves
@@ -63,7 +59,6 @@ class TVisibilityCurve:
     times_ms: tuple[float, ...]
     probabilities: tuple[float, ...]
     trials: int
-    probe_trials: tuple[int, ...] | None = None
     probe_successes: tuple[int, ...] | None = None
 
     def probability_at(self, t_ms: float) -> float:
@@ -100,7 +95,8 @@ class TVisibilityCurve:
         -------
         The crossing time in ms, or ``inf`` when the curve never reaches
         the target.  On an adaptive curve the bracketing span is at most
-        the sweep's ``probe_resolution_ms`` near the crossing.
+        the sweep's ``probe_resolution_ms`` when the crossing lies inside
+        its pilot window.
         """
         if not 0.0 < target <= 1.0:
             raise ConfigurationError(f"target probability must be in (0, 1], got {target}")
@@ -132,42 +128,19 @@ class TVisibilityCurve:
 
         Returns
         -------
-        A :class:`~repro.montecarlo.convergence.ProbabilityEstimate`.  At a
-        probe time the interval rests on the probe's *actual* observed
-        consistent count (``probe_successes``) and observation count — not a
-        count reconstructed by rounding the interpolated probability, which
-        can disagree with the truth on adaptive grids whose probes carry
-        different denominators.  Between probes the probability is
-        interpolated, the support is the *smaller* of the two bracketing
-        probes' counts (the conservative choice), and the count is
-        necessarily a rounded reconstruction.
+        A :class:`~repro.montecarlo.convergence.ProbabilityEstimate` over
+        ``trials``.  At a probe time the interval rests on the probe's
+        observed consistent count (``probe_successes``), when the curve
+        carries it; between probes the probability is interpolated and the
+        count is necessarily a rounded reconstruction.
         """
         times = np.asarray(self.times_ms, dtype=float)
         index = int(np.searchsorted(times, t_ms))
         on_probe = index < times.size and times[index] == t_ms
-        if on_probe:
-            support = (
-                self.probe_trials[index]
-                if self.probe_trials is not None
-                else self.trials
-            )
-            if self.probe_successes is not None:
-                return wilson_interval(
-                    self.probe_successes[index], support, confidence
-                )
-            probability = float(self.probabilities[index])
-        else:
-            probability = self.probability_at(t_ms)
-            support = self.trials
-            if self.probe_trials is not None:
-                neighbours = [
-                    self.probe_trials[i]
-                    for i in (index - 1, index)
-                    if 0 <= i < len(self.probe_trials)
-                ]
-                support = min(neighbours) if neighbours else self.trials
-        successes = int(round(probability * support))
-        return wilson_interval(successes, support, confidence)
+        if on_probe and self.probe_successes is not None:
+            return wilson_interval(self.probe_successes[index], self.trials, confidence)
+        probability = float(self.probabilities[index]) if on_probe else self.probability_at(t_ms)
+        return wilson_interval(int(round(probability * self.trials)), self.trials, confidence)
 
     def as_rows(self) -> list[dict[str, float]]:
         """Rows of ``{"t_ms", "p_consistent"}`` for table rendering."""
@@ -177,47 +150,18 @@ class TVisibilityCurve:
         ]
 
 
-def _probe_supports(
-    summary, curve_times: tuple[float, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(observation counts, consistent counts)`` per union-grid probe.
-
-    Base probes carry the full trial count and their exact streaming counts;
-    refined probes carry their own observation windows.  Both tuples come
-    straight from the accumulator's integers — no probability is ever
-    rounded back into a count.
-    """
-    observed = {float(t): summary.trials for t in summary.times_ms}
-    observed.update(zip(summary.refined_times_ms, summary.refined_trials))
-    successes = dict(zip((float(t) for t in summary.times_ms), summary.consistent_counts))
-    successes.update(zip(summary.refined_times_ms, summary.refined_counts))
-    return (
-        tuple(observed[t] for t in curve_times),
-        tuple(int(successes[t]) for t in curve_times),
-    )
-
-
 def _curve_points(
     summary, times_ms: Sequence[float], adaptive: bool
-) -> tuple[
-    tuple[float, ...],
-    tuple[float, ...],
-    tuple[int, ...] | None,
-    tuple[int, ...] | None,
-]:
-    """``(times, probabilities, probe_trials, probe_successes)`` for one curve.
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
+    """``(times, probabilities, probe_successes)`` for one curve.
 
-    Adaptive curves cover the full union grid with per-probe observation and
-    consistent counts; non-adaptive curves sample the requested times (every
-    probe saw all trials, signalled by ``probe_trials=None``) and still carry
-    the exact consistent counts where the requested time is a probe.
+    Adaptive curves cover the configuration's whole frozen probe grid;
+    non-adaptive curves sample the requested times, with the exact
+    consistent counts where a requested time is a probe.
     """
     if adaptive:
-        grid = summary.probe_grid()
-        curve_times = tuple(t for t, _ in grid)
-        probabilities = tuple(p for _, p in grid)
-        supports, successes = _probe_supports(summary, curve_times)
-        return curve_times, probabilities, supports, successes
+        probabilities = tuple(p for _, p in summary.probe_grid())
+        return summary.times_ms, probabilities, summary.consistent_counts
     curve_times = tuple(float(t) for t in times_ms)
     probabilities = tuple(
         summary.consistency_probability(float(t)) for t in times_ms
@@ -227,7 +171,7 @@ def _curve_points(
         int(exact.get(t, round(p * summary.trials)))
         for t, p in zip(curve_times, probabilities)
     )
-    return curve_times, probabilities, None, successes
+    return curve_times, probabilities, successes
 
 
 def visibility_curve(
@@ -252,8 +196,8 @@ def visibility_curve(
     config:
         The (N, R, W) configuration to evaluate.
     times_ms:
-        Times since commit (ms) to probe.  With adaptive refinement this is
-        the coarse base grid.
+        Times since commit (ms) to probe.  With ``probe_resolution_ms`` this
+        is the coarse base grid.
     trials:
         Monte Carlo trial budget.
     rng:
@@ -263,20 +207,20 @@ def visibility_curve(
         Series label override (defaults to environment + configuration).
     streaming:
         Route the trials through :class:`~repro.montecarlo.engine.SweepEngine`
-        in bounded memory.  Implied by ``workers > 1`` or adaptive refinement.
+        in bounded memory.  Implied by ``workers > 1`` or the adaptive grid.
     chunk_size:
         Engine chunk size (``None`` selects the engine default).
     workers:
         Shard seeded chunks across this many processes; results are
         identical for any worker count.
     target_probability:
-        The consistency level adaptive refinement localises (only used when
+        The consistency level the adaptive grid resolves (only used when
         ``probe_resolution_ms`` is set).
     probe_resolution_ms:
-        Enable adaptive refinement: grow probes around the
-        ``t_visibility(target_probability)`` crossing until it is bracketed
-        to this resolution.  The returned curve's grid is then the union of
-        ``times_ms`` and the refined probes.
+        Enable the adaptive grid: probe every multiple of this resolution
+        across a pilot window around the
+        ``t_visibility(target_probability)`` crossing.  The returned curve's
+        grid is then ``times_ms`` plus those fine probes.
 
     Returns
     -------
@@ -303,7 +247,7 @@ def visibility_curve(
             probe_resolution_ms=probe_resolution_ms,
         )
         summary = engine.run(trials, rng).results[0]
-        curve_times, curve_probabilities, probe_trials, probe_successes = _curve_points(
+        curve_times, curve_probabilities, probe_successes = _curve_points(
             summary, times_ms, adaptive
         )
         return TVisibilityCurve(
@@ -312,7 +256,6 @@ def visibility_curve(
             times_ms=curve_times,
             probabilities=curve_probabilities,
             trials=summary.trials,
-            probe_trials=probe_trials,
             probe_successes=probe_successes,
         )
     model = WARSModel(distributions=distributions, config=config)
@@ -355,8 +298,8 @@ def visibility_curves(
     configs:
         The (N, R, W) configurations to evaluate together.
     times_ms:
-        Times since commit (ms) to probe (the base grid under adaptive
-        refinement).
+        Times since commit (ms) to probe (the base grid of an adaptive
+        sweep).
     trials:
         Monte Carlo trial budget shared by the sweep.
     rng:
@@ -370,11 +313,11 @@ def visibility_curves(
     workers:
         Shard seeded chunks across processes without changing any result.
     target_probability:
-        Consistency level adaptive refinement localises per configuration
+        Consistency level the adaptive grid resolves per configuration
         (only used when ``probe_resolution_ms`` is set).
     probe_resolution_ms:
-        Enable adaptive refinement; each returned curve's grid becomes the
-        union of ``times_ms`` and that configuration's refined probes.
+        Enable the adaptive grid; each returned curve's grid becomes
+        ``times_ms`` plus that configuration's fine probes.
 
     Returns
     -------
@@ -404,7 +347,7 @@ def visibility_curves(
     sweep = engine.run(trials, rng)
     curves = []
     for summary in sweep:
-        curve_times, curve_probabilities, probe_trials, probe_successes = _curve_points(
+        curve_times, curve_probabilities, probe_successes = _curve_points(
             summary, times_ms, adaptive
         )
         curves.append(
@@ -414,7 +357,6 @@ def visibility_curves(
                 times_ms=curve_times,
                 probabilities=curve_probabilities,
                 trials=sweep.trials_run,
-                probe_trials=probe_trials,
                 probe_successes=probe_successes,
             )
         )
@@ -447,8 +389,8 @@ def t_visibility_table(
     configs:
         The (N, R, W) configurations evaluated under every environment.
     target_probability:
-        Consistency level for the t-visibility column (and the level
-        adaptive refinement localises).
+        Consistency level for the t-visibility column (and the level the
+        adaptive grid resolves).
     latency_percentile:
         Percentile for the read/write latency columns.
     trials:
@@ -466,11 +408,12 @@ def t_visibility_table(
         Shard each environment's seeded sweep across processes without
         changing any number.
     probe_resolution_ms:
-        Enable adaptive refinement.  The engines probe the coarse
+        Enable the adaptive grid.  The engines probe the coarse
         :data:`~repro.montecarlo.engine.DEFAULT_ADAPTIVE_GRID_MS` base grid
-        and refine around each configuration's crossing, so the
-        ``t_visibility_ms`` column is resolved to this many milliseconds
-        from exact bracketing counts instead of the histogram sketch.
+        plus every multiple of this resolution across each configuration's
+        pilot window, so the ``t_visibility_ms`` column is resolved to this
+        many milliseconds from exact bracketing counts instead of the
+        histogram sketch.
 
     Returns
     -------
@@ -504,8 +447,8 @@ def t_visibility_table(
             min_trials=tail_floor,
             workers=workers,
             # With probe_resolution_ms set the engine falls back to its
-            # default coarse base grid and refines around this target;
-            # otherwise the target is informational and no probes are grown.
+            # default coarse base grid and adds fine probes around this
+            # target; otherwise the target is informational.
             target_probability=target_probability,
             probe_resolution_ms=probe_resolution_ms,
         )

@@ -371,7 +371,7 @@ class TestRegistrySmoke:
                 "table3-refit",
                 "validation",
                 # analytic-validation compares analytic vs Monte Carlo on a
-                # *fixed* probe grid by construction; adaptive refinement
+                # *fixed* probe grid by construction; adaptive fine probes
                 # would change the oracle's grid, not the comparison.
                 "analytic-validation",
                 # Scenario divergence bins measured staleness directly; there
@@ -388,9 +388,8 @@ class TestRegistrySmoke:
         """table4 accepts the flag end-to-end, and the adaptive grid actually
         changes (sharpens) the t-visibility column relative to the sketch.
 
-        The trial count must span several chunks: refinement proposes probes
-        at chunk boundaries and activates them REFINE_ACTIVATION_LAG chunks
-        later, so a sweep that fits in a couple of chunks never grows probes.
+        The fine probes are placed on the first block of trials and count
+        every trial after it, so any budget resolves the crossings.
         """
         argv = ["run", "table4", "--trials", "60000", "--chunk-size", "8192"]
         assert main(argv) == 0
@@ -403,9 +402,9 @@ class TestRegistrySmoke:
         assert adaptive_output != sketch_output
 
     def test_cli_predict_probe_resolution_refines_the_report(self, capsys):
-        """predict accepts the flag end-to-end with a budget large enough for
-        refinement to activate (several chunks past the activation lag), and
-        the refined report differs from the sketch-based one."""
+        """predict accepts the flag end-to-end, the adaptive report differs
+        from the sketch-based one, and a crossing inside its pilot window
+        needs no note."""
         argv = [
             "predict",
             "--fit",
@@ -421,11 +420,11 @@ class TestRegistrySmoke:
         adaptive_output = capsys.readouterr().out
         assert "t-visibility for 99.9%" in adaptive_output
         # Same seed and trials: only the t-visibility inversion changes
-        # (union-grid brackets instead of the threshold histogram).
+        # (exact probe brackets instead of the threshold histogram).
         assert adaptive_output != sketch_output
-        # This budget cannot reach 0.5 ms; the CLI must say what it achieved
-        # rather than implying the requested resolution was met.
-        assert "note: the 99.9% crossing was bracketed to" in adaptive_output
+        # Both crossings lie inside their pilot windows, so both are
+        # resolved to 0.5 ms and the CLI has nothing to warn about.
+        assert "note:" not in adaptive_output
 
     def test_cli_probe_resolution_ignored_by_closed_form_runners(self, capsys):
         assert main(["run", "section3-kstaleness", "--probe-resolution-ms", "1"]) == 0

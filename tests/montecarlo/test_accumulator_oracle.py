@@ -20,6 +20,12 @@ sit on the boundaries the golden sweeps never hit: values on the frozen
 edges, values outside them, degenerate first batches, and thresholds equal
 to probe times (``-0.0`` and ``0.0`` included).
 
+An adaptive accumulator freezes its probe grid from its first block; the
+reference builds that grid by the pilot window's definition, with a loop
+over targets and multiples of the resolution.  The early-stopping margin is
+one Wilson interval at the count nearest ``trials / 2``; the reference is the
+loop over every probe.
+
 NumPy picks its sort and comparison loops by the CPU features it finds, so
 the module runs again in a subprocess with the AVX-512 loops switched off
 wherever NumPy reports AVX-512.
@@ -30,6 +36,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from math import ceil, floor, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +44,18 @@ import pytest
 
 from repro.core.quorum import ReplicaConfig
 from repro.core.wars import WARSTrialResult, sample_wars_batch
+from repro.exceptions import AnalysisError
 from repro.experiments.table4 import TABLE4_CONFIGS
 from repro.kernels import KERNEL
 from repro.latency.production import lnkd_ssd, ymmr
-from repro.montecarlo.engine import StreamingHistogram, _accumulate_batch, _ConfigAccumulator
+from repro.montecarlo.convergence import wilson_interval
+from repro.montecarlo.engine import (
+    PILOT_WINDOW_Z,
+    StreamingHistogram,
+    _accumulate_batch,
+    _ConfigAccumulator,
+    _widest_margin,
+)
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__ as _CPU_FEATURES
@@ -53,7 +68,9 @@ _AVX512_OFF = "AVX512_SPR AVX512_ICL X86_V4"
 _BINS = 64
 _CONFIG = ReplicaConfig(3, 1, 1)
 _BASE_TIMES = np.array([0.0, 0.5, 1.0, 2.5, 10.0])
-_REFINED_TIMES = (0.25, 0.75, 1.75)
+#: ``(targets, resolution_ms)`` of an adaptive accumulator: windows in the
+#: middle of the thresholds, and fine probes that thresholds land on.
+_PILOT = ((0.5, 0.9), 0.25)
 
 
 def _reference_reduce(
@@ -180,24 +197,47 @@ def _reference_histogram_update(histogram: StreamingHistogram, values) -> None:
     histogram._count += int(values.size)
 
 
+def _reference_pilot_grid(
+    thresholds: np.ndarray, base_times: np.ndarray, targets, resolution_ms: float
+) -> np.ndarray:
+    """The pilot window by its definition, one target and one multiple at a time."""
+    x = sorted(float(value) for value in thresholds)
+    n = len(x)
+    last = float(base_times[-1])
+    times = {float(t) for t in base_times}
+    z = PILOT_WINDOW_Z
+    for p in targets:
+        denominator = 1.0 + z**2 / n
+        centre = (p + z**2 / (2 * n)) / denominator
+        half_width = z * sqrt(p * (1.0 - p) / n + z**2 / (4 * n**2)) / denominator
+        p_low, p_high = max(0.0, centre - half_width), min(1.0, centre + half_width)
+        low = max(x[max(ceil(p_low * n) - 1, 0)], 0.0)
+        high = min(x[min(ceil(p_high * n), n - 1)], last)
+        if high <= 0.0 or low > high:
+            continue
+        for k in range(floor(low / resolution_ms), ceil(high / resolution_ms) + 1):
+            if k * resolution_ms <= last:
+                times.add(k * resolution_ms)
+    return np.array(sorted(times))
+
+
 def _reference_accumulator_update(
     accumulator: _ConfigAccumulator, result: WARSTrialResult
 ) -> None:
-    """The earlier ``_ConfigAccumulator.update``: boolean probe matrices."""
+    """The earlier ``_ConfigAccumulator.update``: boolean probe matrices,
+    after freezing an adaptive accumulator's grid by the reference."""
     thresholds = result.staleness_thresholds_ms
+    if accumulator._pilot is not None:
+        accumulator.times_ms = _reference_pilot_grid(
+            thresholds, accumulator.times_ms, *accumulator._pilot
+        )
+        accumulator.consistent_counts = np.zeros(accumulator.times_ms.size, dtype=np.int64)
+        accumulator._pilot = None
     accumulator.trials += thresholds.size
     if accumulator.times_ms.size:
         accumulator.consistent_counts += np.count_nonzero(
             thresholds[:, None] <= accumulator.times_ms[None, :], axis=0
         )
-    if accumulator.refined_probes:
-        refined_times = np.asarray(list(accumulator.refined_probes), dtype=float)
-        refined_counts = np.count_nonzero(
-            thresholds[:, None] <= refined_times[None, :], axis=0
-        )
-        for entry, count in zip(accumulator.refined_probes.values(), refined_counts):
-            entry[0] += int(count)
-            entry[1] += thresholds.size
     accumulator.nonpositive_thresholds += int(np.count_nonzero(thresholds <= 0.0))
     _reference_histogram_update(accumulator.threshold_histogram, thresholds)
     _reference_histogram_update(accumulator.read_histogram, result.read_latencies_ms)
@@ -285,9 +325,11 @@ class TestStreamingHistogramOracle:
 
 
 def _probe_result(rng: np.random.Generator, size: int) -> WARSTrialResult:
-    """Thresholds that hit every base and refined probe time exactly,
-    ``-0.0`` and ``0.0`` among them, beside negative and large values."""
-    probes = np.concatenate([_BASE_TIMES, _REFINED_TIMES, [-0.0, 0.0, -0.0]])
+    """Thresholds that hit every base probe time and many fine probe times
+    exactly, ``-0.0`` and ``0.0`` among them, beside negative and large
+    values."""
+    fine = np.arange(-4, 17) * _PILOT[1]
+    probes = np.concatenate([_BASE_TIMES, fine, [-0.0, 0.0, -0.0]])
     spread = rng.normal(1.0, 2.0, size=size - probes.size)
     thresholds = rng.permutation(np.concatenate([probes, probes, spread]))[:size]
     return WARSTrialResult(
@@ -307,9 +349,9 @@ def _update_sorting_each_column(accumulator: _ConfigAccumulator, result: WARSTri
 
 def _assert_accumulators_equal(actual: _ConfigAccumulator, expected: _ConfigAccumulator) -> None:
     assert actual.trials == expected.trials
+    assert np.array_equal(actual.times_ms, expected.times_ms)
     assert np.array_equal(actual.consistent_counts, expected.consistent_counts)
-    assert actual.refined_probes == expected.refined_probes
-    assert list(actual.refined_probes) == list(expected.refined_probes)
+    assert actual._pilot == expected._pilot
     assert actual.nonpositive_thresholds == expected.nonpositive_thresholds
     _assert_histograms_equal(actual.threshold_histogram, expected.threshold_histogram)
     _assert_histograms_equal(actual.read_histogram, expected.read_histogram)
@@ -317,38 +359,46 @@ def _assert_accumulators_equal(actual: _ConfigAccumulator, expected: _ConfigAccu
 
 
 class TestConfigAccumulatorOracle:
-    def test_probe_counts_and_sketches_match_the_reference(self):
+    @pytest.mark.parametrize("pilot", [None, _PILOT], ids=["fixed", "adaptive"])
+    def test_probe_counts_and_sketches_match_the_reference(self, pilot):
         rng = np.random.default_rng(13)
-        actual = _ConfigAccumulator(_CONFIG, _BASE_TIMES, _BINS, keep_samples=False)
-        expected = _ConfigAccumulator(_CONFIG, _BASE_TIMES, _BINS, keep_samples=False)
+        actual = _ConfigAccumulator(_CONFIG, _BASE_TIMES, _BINS, False, pilot)
+        expected = _ConfigAccumulator(_CONFIG, _BASE_TIMES, _BINS, False, pilot)
         for block in range(5):
-            if block == 2:
-                # Refined probes join mid-run, as adaptive refinement adds them.
-                actual.add_probes(_REFINED_TIMES)
-                expected.add_probes(_REFINED_TIMES)
             result = _probe_result(rng, 97 + 40 * block)
             _update_sorting_each_column(actual, result)
             _reference_accumulator_update(expected, result)
             _assert_accumulators_equal(actual, expected)
         assert actual.nonpositive_thresholds > 0
-        observed = sum(97 + 40 * block for block in (2, 3, 4))
-        assert [seen for _, seen in actual.refined_probes.values()] == [observed] * 3
+        if pilot is not None:
+            # The first block froze a grid finer than the base grid.
+            assert actual.times_ms.size > _BASE_TIMES.size
 
-    def test_merged_refined_probes_are_counted_too(self):
+    def test_spawned_shards_count_the_frozen_grid(self):
         rng = np.random.default_rng(17)
-        primed = _ConfigAccumulator(_CONFIG, _BASE_TIMES, _BINS, keep_samples=False)
+        primed = _ConfigAccumulator(_CONFIG, _BASE_TIMES, _BINS, False, _PILOT)
         _update_sorting_each_column(primed, _probe_result(rng, 120))
         actual, expected = primed.spawn_empty(), primed.spawn_empty()
+        assert np.array_equal(actual.times_ms, primed.times_ms) and actual._pilot is None
         shard = primed.spawn_empty()
-        shard.add_probes(_REFINED_TIMES[1:])
         _update_sorting_each_column(shard, _probe_result(rng, 60))
         for accumulator in (actual, expected):
-            accumulator.add_probes(_REFINED_TIMES[:1])
             accumulator.merge(shard)
         result = _probe_result(rng, 150)
         _update_sorting_each_column(actual, result)
         _reference_accumulator_update(expected, result)
         _assert_accumulators_equal(actual, expected)
+        assert actual.trials == 210
+
+    def test_merge_refuses_a_different_frozen_grid(self):
+        rng = np.random.default_rng(19)
+        one = _ConfigAccumulator(_CONFIG, _BASE_TIMES, _BINS, False, _PILOT)
+        other = _ConfigAccumulator(_CONFIG, _BASE_TIMES, _BINS, False, _PILOT)
+        _update_sorting_each_column(one, _probe_result(rng, 120))
+        _update_sorting_each_column(other, _probe_result(rng, 300))
+        assert not np.array_equal(one.times_ms, other.times_ms)
+        with pytest.raises(AnalysisError, match="probe-time grids"):
+            one.merge(other)
 
     def test_update_leaves_the_shared_batch_untouched(self):
         """Configurations with the same R read one column of the batch, so
@@ -434,3 +484,41 @@ class TestSharedSortedColumns:
         # Table 4 reads R in {1, 2, 3} and W in {1, 2, 3}: three read and
         # three commit columns, plus one threshold column per configuration.
         assert len(sorted_sizes) == 3 + 3 + len(TABLE4_CONFIGS)
+
+
+class TestWidestMarginOracle:
+    """The stop rule's one Wilson interval, at the count nearest
+    ``trials / 2``, against the loop over every probe it replaced."""
+
+    def test_stop_decisions_match_the_per_probe_loop(self):
+        rng = np.random.default_rng(31)
+        for _ in range(2_000):
+            trials = int(rng.integers(1, 10**7))
+            counts = rng.integers(0, trials + 1, size=int(rng.integers(1, 40)))
+            if rng.random() < 0.3:
+                # Mirror counts tie on p(1 - p).
+                count = int(rng.integers(0, trials + 1))
+                counts = np.concatenate([counts, [count, trials - count]])
+            counts = np.sort(counts)
+            confidence = float(rng.choice([0.9, 0.95, 0.99]))
+            loop = max(wilson_interval(int(c), trials, confidence).margin for c in counts)
+            widest = _widest_margin(counts, trials, confidence)
+            assert widest == pytest.approx(loop, rel=1e-12, abs=0.0)
+            for tolerance in (loop, loop * (1 - 1e-9), loop * (1 + 1e-9), rng.uniform(0.0, 0.6)):
+                assert (widest <= tolerance) == (loop <= tolerance)
+
+    def test_sweep_and_accumulator_margins_match_the_per_probe_loop(self):
+        from repro.montecarlo.engine import SweepEngine
+
+        sweep = SweepEngine(
+            ymmr(),
+            TABLE4_CONFIGS,
+            target_probability=(0.99, 0.999),
+            probe_resolution_ms=1.0,
+        ).run(20_000, 37)
+        assert max(len(summary.times_ms) for summary in sweep) > 100
+        for summary in sweep:
+            loop = max(summary.estimate_at(t).margin for t in summary.times_ms)
+            assert summary.max_margin() == pytest.approx(loop, rel=1e-12, abs=0.0)
+            counts = np.asarray(summary.consistent_counts)
+            assert _widest_margin(counts, summary.trials, 0.95) == summary.max_margin()

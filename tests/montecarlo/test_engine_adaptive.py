@@ -1,22 +1,21 @@
-"""Adaptive probe-grid refinement: equivalence, determinism, and the stop gate.
+"""The adaptive probe grid: a fixed grid that the first block of trials places.
 
-The adaptive contract (see the "Adaptive probe-grid refinement" section of
+The contract (the "Adaptive probe grid" section of
 ``repro/montecarlo/engine.py``) has four testable layers:
 
-1. *Sampling is untouched*: enabling refinement changes which probes are
-   counted, never which trials are drawn — base-grid counts are bit-for-bit
-   identical to a non-adaptive run with the same seed and chunk size.
-2. *Refined probes estimate the same curve*: a refined probe's count covers
-   only the trials after its activation, so against a fixed-grid engine
-   probing the same times over all trials it agrees statistically, and the
-   interpolated t-visibility agrees with exact order statistics to within
-   the probe resolution (plus Monte Carlo noise).
-3. *Coordinator-side determinism*: for a fixed (seed, chunk size), adaptive
-   results — refined probe schedule included — are identical for any worker
-   count, early stopping included.
-4. *The adaptive stop gate*: a converged adaptive sweep has bracketed every
-   (configuration, target) crossing to the requested resolution with
-   tolerance-tight endpoints.
+1. *A fixed grid, frozen early*: each configuration's grid is its base times
+   plus a probe at every multiple of ``probe_resolution_ms`` across a pilot
+   window placed on its first block, and every probe counts every trial —
+   so every count equals a fixed-grid run's over the same times and seed.
+2. *Determinism*: the grid comes from seed-mode block 0, so seeded adaptive
+   results are identical for any chunk size and any worker count, early
+   stopping included, and early stopping has the fixed grid's one rule.
+3. *Resolution*: a crossing inside its window is bracketed to the
+   resolution, and its t-visibility is within the resolution of the exact
+   order statistic of the same trials.  On the Table 4 fits the windows
+   contain the crossings.
+4. *Honesty*: a crossing outside its window is answered from the threshold
+   sketch, and ``t_visibility_bracket`` reports the wide bracket.
 """
 
 from __future__ import annotations
@@ -24,294 +23,272 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.quorum import ReplicaConfig
+import repro.montecarlo.engine as engine_module
+from repro.core.quorum import ReplicaConfig, iter_configs
 from repro.exceptions import ConfigurationError
-from repro.latency.production import lnkd_disk, lnkd_ssd
-from repro.montecarlo.engine import (
-    SAMPLE_BLOCK,
-    SweepEngine,
-    SweepResult,
-)
+from repro.experiments.table4 import TABLE4_CONFIGS
+from repro.latency.production import lnkd_disk, lnkd_ssd, production_fit, ymmr
+from repro.montecarlo.convergence import wilson_interval
+from repro.montecarlo.engine import SAMPLE_BLOCK, SweepEngine, SweepResult
 
 _CONFIG = ReplicaConfig(3, 1, 1)
+_CONFIGS = (ReplicaConfig(3, 1, 1), ReplicaConfig(3, 2, 1), ReplicaConfig(3, 1, 2))
 _BASE_TIMES = (0.0, 1000.0)
+_TARGETS = (0.99, 0.999)
 _TARGET = 0.999
 _RESOLUTION = 2.0
+_TRIALS = 9 * SAMPLE_BLOCK + 123
 
 
-def _adaptive_engine(workers: int = 1, chunk_size: int = SAMPLE_BLOCK, **kwargs) -> SweepEngine:
+def _adaptive_engine(
+    workers: int = 1, chunk_size: int = SAMPLE_BLOCK, configs=(_CONFIG,), **kwargs
+) -> SweepEngine:
     kwargs.setdefault("times_ms", _BASE_TIMES)
-    kwargs.setdefault("target_probability", _TARGET)
+    kwargs.setdefault("target_probability", _TARGETS)
     kwargs.setdefault("probe_resolution_ms", _RESOLUTION)
     return SweepEngine(
-        lnkd_disk(), (_CONFIG,), chunk_size=chunk_size, workers=workers, **kwargs
+        lnkd_disk(), configs, chunk_size=chunk_size, workers=workers, **kwargs
     )
 
 
-def _assert_adaptive_sweeps_identical(one: SweepResult, other: SweepResult) -> None:
-    """Bit-for-bit equality including the grid-versioned refined probes."""
+def _assert_sweeps_identical(one: SweepResult, other: SweepResult) -> None:
+    """Bit-for-bit equality of everything a sweep reports."""
     assert one.trials_run == other.trials_run
     assert one.stopped_early == other.stopped_early
     assert one.converged == other.converged
+    assert len(one) == len(other)
     for a, b in zip(one, other):
         assert a.config == b.config
         assert a.trials == b.trials
         assert a.times_ms == b.times_ms
         assert a.consistent_counts == b.consistent_counts
-        assert a.refined_times_ms == b.refined_times_ms
-        assert a.refined_counts == b.refined_counts
-        assert a.refined_trials == b.refined_trials
-        assert a.t_visibility(_TARGET) == b.t_visibility(_TARGET)
+        assert a.nonpositive_thresholds == b.nonpositive_thresholds
+        for target in _TARGETS:
+            assert a.t_visibility(target) == b.t_visibility(target)
+            assert a.t_visibility_bracket(target) == b.t_visibility_bracket(target)
+        assert a.read_latency_percentile(99.9) == b.read_latency_percentile(99.9)
+        assert a.write_latency_percentile(99.9) == b.write_latency_percentile(99.9)
 
 
-class TestAdaptiveEquivalence:
-    """Refinement changes the probe grid, never the sampled trials."""
+class TestFrozenGrid:
+    """Every probe is a fixed-grid probe that counts every trial."""
 
-    def test_base_counts_match_non_adaptive_run_exactly(self):
-        trials = 6 * SAMPLE_BLOCK
-        adaptive = _adaptive_engine().run(trials, 7).results[0]
-        fixed = SweepEngine(
-            lnkd_disk(), (_CONFIG,), times_ms=_BASE_TIMES, chunk_size=SAMPLE_BLOCK
-        ).run(trials, 7).results[0]
-        assert adaptive.times_ms == fixed.times_ms
-        assert adaptive.consistent_counts == fixed.consistent_counts
-        assert adaptive.nonpositive_thresholds == fixed.nonpositive_thresholds
-        assert adaptive.refined_times_ms and not fixed.refined_times_ms
+    def test_grid_is_the_base_plus_multiples_of_the_resolution(self):
+        summary = _adaptive_engine().run(_TRIALS, 7).results[0]
+        times = summary.times_ms
+        assert list(times) == sorted(set(times))
+        assert set(_BASE_TIMES) <= set(times)
+        fine = [t for t in times if t not in _BASE_TIMES]
+        assert fine, "the pilot window must add probes"
+        assert all(t / _RESOLUTION == round(t / _RESOLUTION) for t in fine)
+        assert all(0.0 <= t <= _BASE_TIMES[-1] for t in fine)
 
-    def test_refined_probes_track_fixed_grid_estimates(self):
-        """A refined probe's windowed estimate agrees with a fixed-grid
-        engine probing the same time over all trials (same seed, so the
-        trials are shared and only the observation window differs)."""
-        trials = 12 * SAMPLE_BLOCK
-        adaptive = _adaptive_engine().run(trials, 3).results[0]
-        assert adaptive.refined_times_ms
-        fixed = SweepEngine(
-            lnkd_disk(),
-            (_CONFIG,),
-            times_ms=_BASE_TIMES + adaptive.refined_times_ms,
-            chunk_size=SAMPLE_BLOCK,
-        ).run(trials, 3).results[0]
-        for time, count, observed in zip(
-            adaptive.refined_times_ms, adaptive.refined_counts, adaptive.refined_trials
-        ):
-            windowed = count / observed
-            assert 0 < observed <= trials
-            assert windowed == pytest.approx(
-                fixed.consistency_probability(time), abs=0.02
-            )
+    def test_every_probe_count_equals_a_fixed_grid_run(self):
+        adaptive = _adaptive_engine(configs=_CONFIGS).run(_TRIALS, 7)
+        for summary in adaptive:
+            fixed = SweepEngine(
+                lnkd_disk(),
+                (summary.config,),
+                times_ms=summary.times_ms,
+                chunk_size=SAMPLE_BLOCK,
+            ).run(_TRIALS, 7).results[0]
+            assert fixed.times_ms == summary.times_ms
+            assert fixed.consistent_counts == summary.consistent_counts
+            assert fixed.nonpositive_thresholds == summary.nonpositive_thresholds
+            assert fixed.trials == summary.trials == _TRIALS
 
-    def test_adaptive_t_visibility_matches_exact_within_resolution(self):
-        trials = 12 * SAMPLE_BLOCK
-        adaptive = _adaptive_engine().run(trials, 5).results[0]
-        exact = SweepEngine(lnkd_disk(), (_CONFIG,), keep_samples=True).run(
-            trials, 5
-        ).results[0]
-        # Same seed, same trials: the only differences are the bracketing
-        # interpolation (bounded by the achieved bracket width) and the
-        # windowed refined estimates.  The achieved bracket after ~4 rounds
-        # from a 1000 ms span is well under 16 ms.
-        assert adaptive.t_visibility(_TARGET) == pytest.approx(
-            exact.t_visibility(_TARGET), abs=16.0
-        )
+    def test_grid_is_frozen_from_the_first_block(self):
+        """Later blocks count the grid but never move it."""
+        first_block = _adaptive_engine(configs=_CONFIGS).run(SAMPLE_BLOCK, 3)
+        longer = _adaptive_engine(configs=_CONFIGS).run(_TRIALS, 3)
+        for short, long in zip(first_block, longer):
+            assert short.times_ms == long.times_ms
 
-    def test_refined_grid_concentrates_around_the_crossing(self):
-        trials = 12 * SAMPLE_BLOCK
-        summary = _adaptive_engine().run(trials, 11).results[0]
-        crossing = summary.t_visibility(_TARGET)
-        assert summary.refined_times_ms
-        # Bisection discards half-spans away from the crossing, so the
-        # nearest refined probe must sit within one subdivision span.
-        nearest = min(abs(t - crossing) for t in summary.refined_times_ms)
-        span = _BASE_TIMES[-1] - _BASE_TIMES[0]
-        assert nearest < span / 4
-
-    def test_union_grid_interpolation_uses_refined_probes(self):
-        trials = 12 * SAMPLE_BLOCK
-        summary = _adaptive_engine().run(trials, 7).results[0]
-        grid = summary.probe_grid()
-        times = [t for t, _ in grid]
-        assert times == sorted(times)
-        assert set(summary.refined_times_ms) <= set(times)
-        # Queries at refined probes return the windowed estimates exactly.
-        for time, count, observed in zip(
-            summary.refined_times_ms, summary.refined_counts, summary.refined_trials
-        ):
-            assert summary.consistency_probability(time) == count / observed
+    def test_probes_answer_from_their_exact_counts(self):
+        summary = _adaptive_engine().run(_TRIALS, 7).results[0]
+        assert summary.consistency_curve() == summary.probe_grid()
+        for (time, probability), count in zip(summary.probe_grid(), summary.consistent_counts):
+            assert probability == count / summary.trials
+            if time > 0.0:
+                assert summary.consistency_probability(time) == probability
             estimate = summary.estimate_at(time)
-            assert estimate.trials == observed
+            assert estimate.trials == summary.trials
+            assert estimate == wilson_interval(count, summary.trials, summary.confidence)
 
-    def test_base_grid_meeting_resolution_still_inverts_exact_counts(self):
-        """When the base grid already brackets the crossing within the
-        resolution, no refined probes are grown — but the adaptive sweep must
-        still invert the exact probe counts, not the histogram sketch, so
-        t_visibility stays inside the reported bracket."""
-        summary = SweepEngine(
-            lnkd_disk(),
-            (_CONFIG,),
-            chunk_size=SAMPLE_BLOCK,
-            target_probability=_TARGET,
-            probe_resolution_ms=500.0,  # the default base grid is finer
-        ).run(6 * SAMPLE_BLOCK, 0).results[0]
-        assert not summary.refined_times_ms
-        assert summary.probe_resolution_ms == 500.0
-        low, high = summary.t_visibility_bracket(_TARGET)
-        assert low <= summary.t_visibility(_TARGET) <= high
-
-    def test_generator_mode_supports_refinement_serially(self):
-        trials = 8 * SAMPLE_BLOCK
-        summary = _adaptive_engine().run(
-            trials, np.random.default_rng(9)
+    def test_generator_mode_freezes_the_grid_from_the_first_chunk(self):
+        chunk = 2 * SAMPLE_BLOCK
+        one_chunk = _adaptive_engine(chunk_size=chunk).run(chunk, np.random.default_rng(9))
+        summary = _adaptive_engine(chunk_size=chunk).run(
+            4 * SAMPLE_BLOCK, np.random.default_rng(9)
         ).results[0]
-        assert summary.refined_times_ms
-        assert summary.trials == trials
+        assert summary.trials == 4 * SAMPLE_BLOCK
+        assert summary.times_ms == one_chunk.results[0].times_ms
+        assert len(summary.times_ms) > len(_BASE_TIMES)
+
+    def test_strict_quorum_and_unreachable_windows_add_no_probes(self):
+        """A window that ends at or below 0 (strict quorums) or starts past
+        the last base probe adds nothing."""
+        strict = _adaptive_engine(configs=(ReplicaConfig(3, 2, 2),)).run(
+            2 * SAMPLE_BLOCK, 0
+        ).results[0]
+        assert strict.times_ms == _BASE_TIMES
+        assert strict.t_visibility_bracket(_TARGET) == (0.0, 0.0)
+        assert strict.t_visibility(_TARGET) == 0.0
+        # The LNKD-DISK crossing (~50 ms) lies beyond a 5 ms grid.
+        beyond = _adaptive_engine(times_ms=(0.0, 5.0)).run(2 * SAMPLE_BLOCK, 0).results[0]
+        assert beyond.times_ms == (0.0, 5.0)
+        assert beyond.t_visibility_bracket(_TARGET) is None
+        assert beyond.t_visibility(_TARGET) > 5.0
 
 
-class TestAdaptiveWorkerChunkDeterminism:
-    """workers x chunk_size: refinement decisions ride on merged partials."""
+class TestDeterminism:
+    """One grid per (seed, configuration): chunk size and workers change nothing."""
 
-    _TRIALS = 9 * SAMPLE_BLOCK + 123
+    def test_seeded_results_are_chunk_size_invariant(self):
+        runs = [
+            _adaptive_engine(chunk_size=chunk_size, configs=_CONFIGS).run(_TRIALS, 4)
+            for chunk_size in (SAMPLE_BLOCK, 2 * SAMPLE_BLOCK, 8 * SAMPLE_BLOCK)
+        ]
+        assert [run.chunk_size for run in runs] == [8_192, 16_384, 65_536]
+        for run in runs[1:]:
+            _assert_sweeps_identical(runs[0], run)
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize(
-        "chunk_size", [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK], ids=["small-chunk", "large-chunk"]
-    )
-    def test_sharded_adaptive_run_is_bitwise_identical_to_serial(self, workers, chunk_size):
-        serial = _adaptive_engine(chunk_size=chunk_size).run(self._TRIALS, 42)
-        sharded = _adaptive_engine(workers=workers, chunk_size=chunk_size).run(
-            self._TRIALS, 42
+    @pytest.mark.parametrize("chunk_size", [SAMPLE_BLOCK, 2 * SAMPLE_BLOCK, 3 * SAMPLE_BLOCK])
+    def test_sharded_run_is_bitwise_identical_to_serial(self, chunk_size):
+        serial = _adaptive_engine(chunk_size=chunk_size, configs=_CONFIGS).run(_TRIALS, 42)
+        sharded = _adaptive_engine(workers=2, chunk_size=chunk_size, configs=_CONFIGS).run(
+            _TRIALS, 42
         )
-        _assert_adaptive_sweeps_identical(serial, sharded)
+        _assert_sweeps_identical(serial, sharded)
 
-    def test_base_counts_stay_chunk_size_invariant(self):
-        """The refined schedule legitimately depends on the chunk size (it is
-        decided at chunk boundaries); the sampled trials — and therefore the
-        base-grid counts — must not."""
-        small = _adaptive_engine(chunk_size=SAMPLE_BLOCK).run(self._TRIALS, 4).results[0]
-        large = _adaptive_engine(chunk_size=3 * SAMPLE_BLOCK).run(self._TRIALS, 4).results[0]
-        assert small.consistent_counts == large.consistent_counts
-        assert small.nonpositive_thresholds == large.nonpositive_thresholds
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_early_stopping_identical_across_workers(self, workers):
+    def test_early_stopping_identical_across_workers(self):
         kwargs = dict(tolerance=0.01, min_trials=2 * SAMPLE_BLOCK)
         serial = _adaptive_engine(**kwargs).run(2_000_000, 13)
-        sharded = _adaptive_engine(workers=workers, **kwargs).run(2_000_000, 13)
-        assert serial.stopped_early
-        _assert_adaptive_sweeps_identical(serial, sharded)
+        sharded = _adaptive_engine(workers=2, **kwargs).run(2_000_000, 13)
+        assert serial.stopped_early and serial.converged
+        _assert_sweeps_identical(serial, sharded)
 
-    def test_multi_config_adaptive_sharding_is_deterministic(self):
-        configs = (ReplicaConfig(3, 1, 1), ReplicaConfig(3, 2, 1))
-        def run(workers):
-            return SweepEngine(
-                lnkd_disk(),
-                configs,
-                times_ms=_BASE_TIMES,
-                chunk_size=SAMPLE_BLOCK,
-                workers=workers,
-                target_probability=(0.99, 0.999),
-                probe_resolution_ms=_RESOLUTION,
-            ).run(8 * SAMPLE_BLOCK, 21)
-        _assert_adaptive_sweeps_identical(run(1), run(3))
-
-
-class TestAdaptiveEarlyStopGate:
-    """Converged adaptive sweeps deliver the advertised resolution."""
-
-    def test_stop_implies_bracket_at_resolution_with_tight_endpoints(self):
-        tolerance = 0.01
-        sweep = _adaptive_engine(tolerance=tolerance, min_trials=SAMPLE_BLOCK).run(
-            2_000_000, 13
-        )
-        assert sweep.stopped_early and sweep.converged
-        summary = sweep.results[0]
-        # Locate the bracket on the union grid.
-        grid = summary.probe_grid()
-        above = [i for i, (_, p) in enumerate(grid) if p >= _TARGET]
-        assert above and above[0] > 0
-        t_low, p_low = grid[above[0] - 1]
-        t_high, p_high = grid[above[0]]
-        assert p_low < _TARGET <= p_high
-        assert t_high - t_low <= _RESOLUTION
-        assert summary.t_visibility_bracket(_TARGET) == (t_low, t_high)
-        # Endpoint intervals meet the tolerance with their own trial counts.
-        assert summary.estimate_at(t_low).margin <= tolerance
-        assert summary.estimate_at(t_high).margin <= tolerance
-        # And the reported crossing sits inside the bracket.
-        assert t_low <= summary.t_visibility(_TARGET) <= t_high
-
-    def test_incomplete_refinement_blocks_early_stopping(self):
-        """A tolerance loose enough to converge the two-probe base grid in
-        one chunk must not stop the sweep before the bracket reaches the
-        probe resolution."""
-        sweep = _adaptive_engine(tolerance=0.05, min_trials=1).run(2_000_000, 17)
-        assert sweep.stopped_early
-        non_adaptive = SweepEngine(
-            lnkd_disk(),
-            (_CONFIG,),
-            times_ms=_BASE_TIMES,
-            chunk_size=SAMPLE_BLOCK,
-            tolerance=0.05,
-            min_trials=1,
+    def test_one_stop_rule_for_adaptive_and_fixed_grids(self):
+        """An adaptive sweep stops exactly where a fixed-grid sweep over the
+        same frozen grid does: once every probe meets the tolerance."""
+        kwargs = dict(chunk_size=SAMPLE_BLOCK, tolerance=0.004, min_trials=1)
+        adaptive = _adaptive_engine(**kwargs).run(2_000_000, 17)
+        summary = adaptive.results[0]
+        fixed = SweepEngine(
+            lnkd_disk(), (_CONFIG,), times_ms=summary.times_ms, **kwargs
         ).run(2_000_000, 17)
-        assert non_adaptive.stopped_early
-        # Refinement needs several rounds of probes; the fixed grid stops at
-        # the first boundary.
-        assert sweep.trials_run > non_adaptive.trials_run
-        assert sweep.results[0].refined_times_ms
+        assert adaptive.stopped_early and adaptive.converged
+        assert adaptive.trials_run == fixed.trials_run
+        assert summary.consistent_counts == fixed.results[0].consistent_counts
+        assert adaptive.max_margin() <= 0.004
+        # One chunk earlier, some probe was still too loose.
+        earlier = _adaptive_engine().run(adaptive.trials_run - SAMPLE_BLOCK, 17)
+        assert earlier.max_margin() > 0.004
 
-    def test_t_visibility_bracket_reports_achieved_resolution_honestly(self):
-        """A fixed trial budget can end the run before refinement reaches the
-        requested resolution; the bracket method exposes what was achieved."""
-        # Two chunks: refinement decides at boundary 0 but its probes would
-        # only activate at chunk 1 + lag, past the end of the run.
-        capped = _adaptive_engine().run(2 * SAMPLE_BLOCK, 5).results[0]
-        bracket = capped.t_visibility_bracket(_TARGET)
-        assert bracket is not None
-        assert bracket[1] - bracket[0] > _RESOLUTION  # budget-capped: not met
-        assert bracket[0] <= capped.t_visibility(_TARGET) <= bracket[1]
-        # A longer run narrows it.
-        longer = _adaptive_engine().run(12 * SAMPLE_BLOCK, 5).results[0]
-        longer_bracket = longer.t_visibility_bracket(_TARGET)
-        assert longer_bracket[1] - longer_bracket[0] < bracket[1] - bracket[0]
-        # Strict quorums cross exactly at commit.
-        strict = SweepEngine(
-            lnkd_ssd(), (ReplicaConfig(3, 2, 2),), times_ms=_BASE_TIMES
-        ).run(2_000, 0).results[0]
-        assert strict.t_visibility_bracket(_TARGET) == (0.0, 0.0)
-        # A crossing beyond the grid span is never bracketed.
-        beyond = SweepEngine(
-            lnkd_disk(), (_CONFIG,), times_ms=(0.0, 5.0), chunk_size=SAMPLE_BLOCK
-        ).run(2 * SAMPLE_BLOCK, 0).results[0]
-        assert beyond.t_visibility_bracket(_TARGET) is None
-        with pytest.raises(ConfigurationError):
-            capped.t_visibility_bracket(1.5)
+    def test_converged_is_every_probe_within_tolerance(self):
+        sweep = _adaptive_engine(tolerance=0.01, min_trials=1).run(2 * SAMPLE_BLOCK, 5)
+        assert sweep.converged == (sweep.max_margin() <= 0.01)
+        untolerant = _adaptive_engine().run(2 * SAMPLE_BLOCK, 5)
+        assert not untolerant.converged
 
-    def test_default_consistency_curve_covers_refined_probes(self):
-        summary = _adaptive_engine().run(8 * SAMPLE_BLOCK, 7).results[0]
-        assert summary.refined_times_ms
-        assert summary.consistency_curve() == summary.probe_grid()
-        # Explicit times still sample anywhere on the union grid.
-        explicit = summary.consistency_curve((0.0, summary.refined_times_ms[0]))
-        assert explicit[1][1] == summary.consistency_probability(summary.refined_times_ms[0])
 
-    def test_crossing_beyond_grid_leaves_refinement_complete(self):
-        """When the curve never reaches the target inside the base span there
-        is no bracket to refine: the sweep behaves like a fixed-grid run and
-        t-visibility falls back to the histogram sketch."""
-        sweep = SweepEngine(
-            lnkd_disk(),
-            (_CONFIG,),
-            times_ms=(0.0, 5.0),  # crossing (~50 ms) is far beyond this span
-            chunk_size=SAMPLE_BLOCK,
-            target_probability=_TARGET,
-            probe_resolution_ms=_RESOLUTION,
-            tolerance=0.01,
-            min_trials=SAMPLE_BLOCK,
-        ).run(2_000_000, 19)
-        assert sweep.stopped_early
-        summary = sweep.results[0]
-        assert not summary.refined_times_ms
-        assert summary.t_visibility(_TARGET) > 5.0
+class TestResolution:
+    """Crossings inside their windows are resolved by exact counts."""
+
+    def test_t_visibility_within_resolution_of_the_exact_order_statistic(self):
+        configs = tuple(iter_configs(3))
+        trials = 12 * SAMPLE_BLOCK
+        adaptive = _adaptive_engine(configs=configs).run(trials, 5)
+        exact = SweepEngine(lnkd_disk(), configs, keep_samples=True).run(trials, 5)
+        for summary, reference in zip(adaptive, exact):
+            for target in _TARGETS:
+                bracket = summary.t_visibility_bracket(target)
+                assert bracket[1] - bracket[0] <= _RESOLUTION
+                assert bracket[0] <= summary.t_visibility(target) <= bracket[1]
+                assert abs(
+                    summary.t_visibility(target) - reference.t_visibility(target)
+                ) <= _RESOLUTION
+
+    @pytest.mark.parametrize("resolution", [0.1, 0.3, 0.7, 500.0])
+    def test_brackets_within_the_resolution_interpolate_their_counts(self, resolution):
+        """Consecutive multiples of 0.1 ms can lie a rounding error more
+        than 0.1 ms apart, and at 500 ms two base probes bracket each
+        crossing; either bracket is resolved by its exact counts."""
+        summary = SweepEngine(
+            lnkd_ssd(), (_CONFIG,), target_probability=_TARGETS,
+            probe_resolution_ms=resolution,
+        ).run(50_000, 1).results[0]
+        times, counts = summary.times_ms, summary.consistent_counts
+        for target in _TARGETS:
+            low, high = summary.t_visibility_bracket(target)
+            assert 0.0 < high - low <= resolution * (1.0 + engine_module.RESOLUTION_RTOL)
+            p_low = counts[times.index(low)] / summary.trials
+            p_high = counts[times.index(high)] / summary.trials
+            fraction = (target - p_low) / (p_high - p_low)
+            assert summary.t_visibility(target) == low + fraction * (high - low)
+
+    def test_windows_contain_the_table4_crossings(self):
+        """Every non-zero Table 4 crossing at 0.99 and 0.999, over 20 seeds
+        (2000-2019) of 100,000 trials on the four production fits, is
+        bracketed to a 1 ms resolution."""
+        environments = {
+            "LNKD-SSD": lnkd_ssd(),
+            "LNKD-DISK": lnkd_disk(),
+            "YMMR": ymmr(),
+            "WAN": production_fit("WAN", replica_count=3),
+        }
+        misses, crossings = [], 0
+        for seed in range(2000, 2020):
+            for name, distributions in environments.items():
+                sweep = SweepEngine(
+                    distributions,
+                    TABLE4_CONFIGS,
+                    target_probability=_TARGETS,
+                    probe_resolution_ms=1.0,
+                ).run(100_000, seed)
+                for summary in sweep:
+                    for target in _TARGETS:
+                        if summary.t_visibility(target) == 0.0:
+                            continue
+                        crossings += 1
+                        bracket = summary.t_visibility_bracket(target)
+                        if bracket is None or bracket[1] - bracket[0] > 1.0:
+                            misses.append((seed, name, summary.config.label(), target, bracket))
+        assert crossings > 300
+        assert misses == []
+
+
+class TestWindowMiss:
+    """A crossing that leaves its pilot window is not resolved, and says so."""
+
+    def test_forced_window_miss_answers_from_the_sketch(self, monkeypatch):
+        # At z = 0 the window shrinks to the first block's own crossing, so
+        # the crossing of the full run leaves it.
+        monkeypatch.setattr(engine_module, "PILOT_WINDOW_Z", 0.0)
+        adaptive = _adaptive_engine(probe_resolution_ms=0.5).run(_TRIALS, 8).results[0]
+        plain = SweepEngine(
+            lnkd_disk(), (_CONFIG,), times_ms=_BASE_TIMES, chunk_size=SAMPLE_BLOCK
+        ).run(_TRIALS, 8).results[0]
+        low, high = adaptive.t_visibility_bracket(_TARGET)
+        assert high - low > 0.5
+        assert adaptive.t_visibility(_TARGET) == plain.t_visibility(_TARGET)
+
+    def test_cli_reports_the_miss(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setattr(engine_module, "PILOT_WINDOW_Z", 0.0)
+        argv = ["predict", "--fit", "LNKD-DISK", "--trials", "60000"]
+        assert main(argv + ["--probe-resolution-ms", "0.5"]) == 0
+        output = capsys.readouterr().out
+        assert "crossing left the pilot window" in output
+        assert "histogram estimate" in output
+
+    def test_cli_reports_no_miss_at_a_non_dyadic_resolution(self, capsys):
+        from repro.cli import main
+
+        argv = ["predict", "--fit", "LNKD-SSD", "--trials", "50000", "--seed", "1"]
+        assert main(argv + ["--probe-resolution-ms", "0.1"]) == 0
+        assert "note:" not in capsys.readouterr().out
 
 
 class TestAdaptiveValidationAndErrors:
@@ -331,13 +308,28 @@ class TestAdaptiveValidationAndErrors:
         with pytest.raises(ConfigurationError):
             SweepEngine(distributions, (_CONFIG,), probe_resolution_ms=1.0,
                         target_probability=(0.9, 0.0))
+        # A pilot window may span the whole base grid, so a resolution that
+        # could need more than MAX_FINE_PROBES probes there is refused
+        # before anything is allocated; one at the limit is accepted.
+        limit = engine_module.MAX_FINE_PROBES
+        with pytest.raises(ConfigurationError, match="coarser resolution"):
+            SweepEngine(distributions, (_CONFIG,), times_ms=(0.0, 1.0),
+                        probe_resolution_ms=1.0 / (2 * limit), target_probability=0.999)
+        SweepEngine(distributions, (_CONFIG,), times_ms=(0.0, 1.0),
+                    probe_resolution_ms=1.0 / limit, target_probability=0.999)
+        summary = _adaptive_engine().run(2 * SAMPLE_BLOCK, 5).results[0]
+        with pytest.raises(ConfigurationError):
+            summary.t_visibility_bracket(1.5)
+        with pytest.raises(ConfigurationError):
+            summary.estimate_at(0.25)
 
-    def test_targets_without_resolution_do_not_refine(self):
+    def test_targets_without_resolution_keep_the_base_grid(self):
         summary = SweepEngine(
             lnkd_ssd(), (_CONFIG,), times_ms=(0.0, 10.0),
             chunk_size=SAMPLE_BLOCK, target_probability=0.999,
         ).run(2 * SAMPLE_BLOCK, 0).results[0]
-        assert not summary.refined_times_ms
+        assert summary.times_ms == (0.0, 10.0)
+        assert summary.probe_resolution_ms is None
 
     def test_beyond_grid_error_names_config_and_suggests_remedies(self):
         summary = (
@@ -352,54 +344,10 @@ class TestAdaptiveValidationAndErrors:
         assert "probe_resolution_ms" in message
         assert "times_ms" in message
 
-    def test_converged_accounts_for_loose_bracket_endpoints(self):
-        """A budget-exhausted adaptive sweep whose bracket endpoint is still
-        statistically loose must not claim convergence, even though every
-        base probe meets the tolerance."""
-        from repro.montecarlo.engine import ConfigSweepResult, StreamingHistogram
-
-        histogram = StreamingHistogram(bins=8)
-        histogram.update(np.asarray([0.0, 1.0]))
-
-        def sweep_with_endpoint_support(refined_trials: int) -> SweepResult:
-            count = int(0.9985 * refined_trials)
-            summary = ConfigSweepResult(
-                config=_CONFIG,
-                trials=1_000_000,
-                times_ms=(0.0, 100.0),
-                consistent_counts=(200_000, 999_990),
-                nonpositive_thresholds=200_000,
-                confidence=0.95,
-                _threshold_histogram=histogram,
-                _read_histogram=histogram,
-                _write_histogram=histogram,
-                refined_times_ms=(50.0,),
-                refined_counts=(count,),
-                refined_trials=(refined_trials,),
-            )
-            return SweepResult(
-                results=(summary,),
-                trials_requested=1_000_000,
-                trials_run=1_000_000,
-                chunk_size=SAMPLE_BLOCK,
-                tolerance=0.002,
-                confidence=0.95,
-                probe_resolution_ms=100.0,
-                target_probabilities=(_TARGET,),
-            )
-
-        # The bracket is (50.0, 100.0): with only 200 observations the lower
-        # endpoint's Wilson half-width (~0.005) exceeds the 0.002 tolerance.
-        loose = sweep_with_endpoint_support(200)
-        assert loose.max_margin() <= 0.002  # base probes alone would pass
-        assert not loose.converged
-        # With ample endpoint support the same sweep converges.
-        assert sweep_with_endpoint_support(1_000_000).converged
-
     def test_sweep_result_records_adaptive_knobs(self):
         sweep = _adaptive_engine().run(2 * SAMPLE_BLOCK, 0)
         assert sweep.probe_resolution_ms == _RESOLUTION
-        assert sweep.target_probabilities == (_TARGET,)
+        assert sweep.target_probabilities == _TARGETS
         plain = SweepEngine(lnkd_ssd(), (_CONFIG,)).run(1_000, 0)
         assert plain.probe_resolution_ms is None
         assert plain.target_probabilities == ()
@@ -408,7 +356,7 @@ class TestAdaptiveValidationAndErrors:
 class TestAdaptiveFrontEnds:
     """The knob threads through every visibility front-end."""
 
-    def test_visibility_curve_returns_union_grid(self):
+    def test_visibility_curve_returns_the_frozen_grid(self):
         from repro.montecarlo.tvisibility import visibility_curve
 
         curve = visibility_curve(
@@ -417,18 +365,22 @@ class TestAdaptiveFrontEnds:
             times_ms=_BASE_TIMES,
             trials=8 * SAMPLE_BLOCK,
             rng=0,
-            chunk_size=SAMPLE_BLOCK,
             target_probability=_TARGET,
             probe_resolution_ms=_RESOLUTION,
         )
         assert len(curve.times_ms) > len(_BASE_TIMES)
         assert list(curve.times_ms) == sorted(curve.times_ms)
-        # The refined grid lets the curve invert the target far more finely
+        # The fine probes let the curve invert the target far more finely
         # than the two base probes could.
         t_at_target = curve.t_for_probability(_TARGET)
         assert 0.0 < t_at_target < _BASE_TIMES[-1]
+        # Every probe's interval rests on its exact count over all trials.
+        for time, successes in zip(curve.times_ms, curve.probe_successes):
+            estimate = curve.confidence_at(time)
+            assert estimate.trials == curve.trials
+            assert estimate == wilson_interval(successes, curve.trials)
 
-    def test_visibility_curves_refine_every_config(self):
+    def test_visibility_curves_add_fine_probes_for_every_config(self):
         from repro.montecarlo.tvisibility import visibility_curves
 
         curves = visibility_curves(
@@ -437,7 +389,6 @@ class TestAdaptiveFrontEnds:
             times_ms=_BASE_TIMES,
             trials=8 * SAMPLE_BLOCK,
             rng=0,
-            chunk_size=SAMPLE_BLOCK,
             target_probability=_TARGET,
             probe_resolution_ms=_RESOLUTION,
         )
@@ -451,7 +402,6 @@ class TestAdaptiveFrontEnds:
             (ReplicaConfig(3, 1, 1),),
             trials=8 * SAMPLE_BLOCK,
             rng=0,
-            chunk_size=SAMPLE_BLOCK,
             probe_resolution_ms=1.0,
         )
         assert rows[0]["t_visibility_ms"] > 0.0
@@ -460,16 +410,11 @@ class TestAdaptiveFrontEnds:
         from repro.core.predictor import PBSPredictor
 
         predictor = PBSPredictor(lnkd_disk(), _CONFIG)
-        report = predictor.report(
-            trials=8 * SAMPLE_BLOCK,
-            rng=0,
-            chunk_size=SAMPLE_BLOCK,
-            probe_resolution_ms=1.0,
-        )
+        report = predictor.report(trials=8 * SAMPLE_BLOCK, rng=0, probe_resolution_ms=1.0)
         assert 0.0 < report.t_visibility_99 <= report.t_visibility_999
-        # Refinement actually engaged: the same budget without the knob
-        # inverts the histogram sketch and lands on different figures.
-        sketch = predictor.report(trials=8 * SAMPLE_BLOCK, rng=0, chunk_size=SAMPLE_BLOCK)
+        # The same budget without the knob inverts the histogram sketch and
+        # lands on different figures.
+        sketch = predictor.report(trials=8 * SAMPLE_BLOCK, rng=0)
         assert (report.t_visibility_99, report.t_visibility_999) != (
             sketch.t_visibility_99,
             sketch.t_visibility_999,
@@ -478,7 +423,7 @@ class TestAdaptiveFrontEnds:
         assert sketch.t_visibility_brackets is None
         assert set(report.t_visibility_brackets) == {0.99, 0.999}
         for target, bracket in report.t_visibility_brackets.items():
-            assert bracket is not None
+            assert bracket[1] - bracket[0] <= 1.0
             t_visibility = (
                 report.t_visibility_99 if target == 0.99 else report.t_visibility_999
             )
@@ -490,17 +435,16 @@ class TestAdaptiveFrontEnds:
         summary = SweepEngine(
             lnkd_disk(),
             (_CONFIG,),
-            chunk_size=SAMPLE_BLOCK,
             target_probability=_TARGET,
             probe_resolution_ms=1.0,
         ).run(8 * SAMPLE_BLOCK, 0).results[0]
-        assert summary.times_ms == tuple(sorted(set(DEFAULT_ADAPTIVE_GRID_MS)))
-        assert summary.refined_times_ms
+        assert set(DEFAULT_ADAPTIVE_GRID_MS) < set(summary.times_ms)
+        low, high = summary.t_visibility_bracket(_TARGET)
+        assert high - low <= 1.0
 
-    def test_ablation_reference_with_resolution_refines(self):
-        """The ablations' adaptive reference path raises its own trial floor
-        so refinement actually engages, and the streamed estimate tracks the
-        exact keep-samples reference."""
+    def test_ablation_reference_with_resolution(self):
+        """The ablations' adaptive reference streams the same trials as the
+        exact keep-samples reference, so it lands within the resolution."""
         from repro.experiments.ablations import (
             _slow_write_distributions,
             _wars_predicted_t_visibility,
@@ -511,40 +455,7 @@ class TestAdaptiveFrontEnds:
         adaptive = _wars_predicted_t_visibility(
             _CONFIG, distributions, probe_resolution_ms=1.0
         )
-        assert adaptive == pytest.approx(exact, rel=0.1)
-
-    def test_adaptive_curve_confidence_uses_probe_support(self):
-        from repro.montecarlo.tvisibility import visibility_curve
-
-        curve = visibility_curve(
-            lnkd_disk(),
-            _CONFIG,
-            times_ms=_BASE_TIMES,
-            trials=12 * SAMPLE_BLOCK,
-            rng=0,
-            chunk_size=SAMPLE_BLOCK,
-            target_probability=_TARGET,
-            probe_resolution_ms=_RESOLUTION,
-        )
-        assert curve.probe_trials is not None
-        assert len(curve.probe_trials) == len(curve.times_ms)
-        refined = [
-            (t, n) for t, n in zip(curve.times_ms, curve.probe_trials)
-            if n < curve.trials
-        ]
-        assert refined, "adaptive curve must carry windowed probes"
-        time, support = refined[0]
-        estimate = curve.confidence_at(time)
-        assert estimate.trials == support < curve.trials
-        # A refined probe's interval is wider than pretending it saw the
-        # full budget — the overconfidence per-probe support prevents.
-        from repro.montecarlo.convergence import wilson_interval
-
-        probability = curve.probability_at(time)
-        overconfident = wilson_interval(
-            int(round(probability * curve.trials)), curve.trials
-        )
-        assert estimate.margin > overconfident.margin
+        assert abs(adaptive - exact) <= 1.0
 
     def test_sla_optimizer_with_resolution(self):
         from repro.core.sla import SLAOptimizer, SLATarget

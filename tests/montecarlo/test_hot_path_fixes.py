@@ -177,26 +177,20 @@ class TestConfidenceAtObservedCounts:
             target_probability=0.99,
             probe_resolution_ms=2.0,
         )
-        assert curve.probe_trials is not None and curve.probe_successes is not None
-        refined = [
-            (t, successes, support)
-            for t, successes, support in zip(
-                curve.times_ms, curve.probe_successes, curve.probe_trials
-            )
-            if support < curve.trials
-        ]
-        assert refined, "adaptive curve must carry windowed probes"
+        assert curve.probe_successes is not None
+        assert len(curve.probe_successes) == len(curve.times_ms) > 2
         from repro.montecarlo.convergence import wilson_interval
 
-        for t_ms, successes, support in refined:
+        for t_ms, successes in zip(curve.times_ms, curve.probe_successes):
             estimate = curve.confidence_at(t_ms)
-            expected = wilson_interval(successes, support, 0.95)
-            assert estimate.trials == support
-            # The interval rests on the probe's carried integer count, not a
-            # count reconstructed from the (full-budget) trial total.
+            expected = wilson_interval(successes, curve.trials, 0.95)
+            # Every probe counted every trial, and the interval rests on the
+            # probe's carried integer count, not one reconstructed by
+            # rounding its probability.
+            assert estimate.trials == curve.trials
             assert estimate.probability == expected.probability
             assert estimate.lower == expected.lower
-            assert successes <= support
+            assert successes <= curve.trials
 
     def test_between_probe_queries_still_answer_conservatively(self):
         curve = visibility_curve(
